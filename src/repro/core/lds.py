@@ -36,6 +36,8 @@ class LDS(PLDS):
 
     def _apply_batch(self, batch: Batch) -> UpdateResult:
         self._validate_batch(batch)
+        if self._undo is not None:
+            self._undo.batches.append(batch)
         result = UpdateResult()
         self._touched = set()
 
@@ -45,6 +47,7 @@ class LDS(PLDS):
                 if d is None:
                     d = self.orientation_of(*e)
                 result.oriented_deletions.append(d)
+                self._note_orient(e)
                 self._orient.pop(e, None)
 
         moved: set[int] = set()

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .. import faults as _faults
@@ -106,6 +107,31 @@ class UpdateResult:
     oriented_insertions: list[DirectedEdge] = field(default_factory=list)
     oriented_deletions: list[DirectedEdge] = field(default_factory=list)
     moved_vertices: set[int] = field(default_factory=set)
+
+
+class _UndoLog:
+    """What one armed attempt changed (see :meth:`PLDS.begin_undo`).
+
+    ``levels`` maps a moved vertex's key (its id on the record layout,
+    its slot on the flat layout) to its level before the attempt — only
+    the first move of each vertex is recorded.  ``batches`` are the
+    batches that passed validation, ``orient`` the old ``_orient``
+    entries they touched (``None`` = absent).  Vertices are only ever
+    appended during an attempt, so the ones it created are those past
+    ``num_vertices``.  ``snapshot`` is set instead when a Section-5.9
+    rebuild re-initialized the structure mid-attempt: the full pre-batch
+    state to restore from.
+    """
+
+    __slots__ = ("levels", "batches", "orient", "num_vertices", "scalars", "snapshot")
+
+    def __init__(self, num_vertices: int, scalars: tuple) -> None:
+        self.levels: dict[int, int] = {}
+        self.batches: list[Batch] = []
+        self.orient: dict[tuple[int, int], DirectedEdge | None] = {}
+        self.num_vertices = num_vertices
+        self.scalars = scalars
+        self.snapshot: dict | None = None
 
 
 class _VertexRecord:
@@ -212,6 +238,11 @@ class PLDS(QueryView):
     #: per-variant (depth-charge-fn, charges-level-slots) table; the
     #: depth charge is applied per batched structure mutation.
     _STRUCTURES = ("randomized", "deterministic", "space_efficient")
+
+    #: The armed undo log, if any.  A class-attribute default like the
+    #: epoch store's: the in-place rebuild re-runs ``__init__`` and must
+    #: not disarm an attempt.
+    _undo: _UndoLog | None = None
 
     def __init__(
         self,
@@ -536,6 +567,8 @@ class PLDS(QueryView):
 
     def _apply_batch(self, batch: Batch) -> UpdateResult:
         self._validate_batch(batch)
+        if self._undo is not None:
+            self._undo.batches.append(batch)
         result = UpdateResult()
         self._touched = set()
 
@@ -547,6 +580,7 @@ class PLDS(QueryView):
                 if d is None:
                     d = self.orientation_of(*e)
                 result.oriented_deletions.append(d)
+                self._note_orient(e)
                 self._orient.pop(e, None)
 
         moved: set[int] = set()
@@ -627,6 +661,8 @@ class PLDS(QueryView):
         track = self.track_orientation
         touched = self._touched
         mut_depth = self._mut_depth
+        undo = self._undo
+        undo_levels = undo.levels if undo is not None else None
         fault_plan = _faults.ACTIVE
         tracer = _tracing.ACTIVE
         mreg = _metrics.ACTIVE
@@ -745,6 +781,8 @@ class PLDS(QueryView):
                             rec.down[level] = set(stay)
                         else:
                             slot.update(stay)
+                    if undo_levels is not None:
+                        undo_levels.setdefault(v, level)
                     rec.level = target
                     if len(up) > bound_t:
                         marked_append(v)
@@ -792,6 +830,8 @@ class PLDS(QueryView):
                             rec.down[level] = set(stay)
                         else:
                             slot.update(stay)
+                    if undo_levels is not None:
+                        undo_levels.setdefault(v, level)
                     rec.level = target
                     if len(up) > bound_t:
                         marked_append(v)
@@ -876,6 +916,9 @@ class PLDS(QueryView):
                 rec.down[old] = set(stay)
             else:
                 slot.update(stay)
+        undo = self._undo
+        if undo is not None:
+            undo.levels.setdefault(v, old)
         rec.level = target
         if len(up) > bounds[target]:
             newly_marked.append(rec)
@@ -944,6 +987,9 @@ class PLDS(QueryView):
                 down[lw] = {wrec}
             else:
                 slot.add(wrec)
+        undo = self._undo
+        if undo is not None:
+            undo.levels.setdefault(v, old)
         rec.level = target
         return newly_marked
 
@@ -1156,6 +1202,9 @@ class PLDS(QueryView):
                     w = wrec.id
                     touched.add((v, w) if v <= w else (w, v))
 
+        undo = self._undo
+        if undo is not None:
+            undo.levels.setdefault(v, old)
         rec.level = new_level
         tracker.add(work=max(1, ops), depth=self._mut_depth)
         return weakened
@@ -1305,9 +1354,11 @@ class PLDS(QueryView):
             old_dir = self._orient[e]
             if new_dir != old_dir:
                 result.flipped.append(old_dir)
+                self._note_orient(e)
                 self._orient[e] = new_dir
         for e in inserted:
             d = self.orientation_of(*e)
+            self._note_orient(e)
             self._orient[e] = d
             result.oriented_insertions.append(d)
         self._touched = set()
@@ -1343,6 +1394,19 @@ class PLDS(QueryView):
             self._rebuild()
 
     def _rebuild(self) -> None:
+        # An armed attempt cannot undo an in-place re-init move by move:
+        # derive its full pre-batch state now, and keep the replay below
+        # out of the log.
+        undo = self._undo
+        if undo is not None and undo.snapshot is None:
+            undo.snapshot = self._pre_attempt_snapshot(undo)
+        self._undo = None
+        try:
+            self._rebuild_in_place()
+        finally:
+            self._undo = undo
+
+    def _rebuild_in_place(self) -> None:
         edges = list(self.edges())
         vertices = list(self.vertices())
         # Resize to the live vertex count (growing or shrinking), so the
@@ -1371,6 +1435,130 @@ class PLDS(QueryView):
         # the rebuild fired from _maybe_rebuild mid-batch) reports
         # last_moved=None rather than just the replay's movers.
         self._levels_reshaped = True
+
+    # ------------------------------------------------------------------
+    # Undo log (transactional attempts)
+    # ------------------------------------------------------------------
+
+    def begin_undo(self) -> None:
+        """Arm an undo log: :meth:`rollback_undo` will put the structure
+        back exactly as it is now.
+
+        While armed, every level write records the vertex's old level on
+        its first move, and each validated batch records itself — O(1)
+        per batch and per moved vertex, no copy of the structure.
+        Disarmed (the default), each write site pays one ``is not None``
+        test.  The log covers :meth:`update` calls.
+        """
+        self._undo = _UndoLog(
+            self.num_vertices,
+            (self._m, self._vertex_updates, self.last_moved, self._levels_reshaped),
+        )
+
+    def commit_undo(self) -> None:
+        """Keep the attempt's changes and disarm the log."""
+        self._undo = None
+
+    def rollback_undo(self) -> None:
+        """Restore the exact state :meth:`begin_undo` saw, then disarm.
+
+        In place, in this order: undo the applied batch edges; unlink
+        the edges incident to moved vertices, reset their levels, relink;
+        drop the vertices the attempt created; restore the scalar
+        counters.  Cost O(|B| + Σ deg(moved)).  If a Section-5.9 rebuild
+        fired during the attempt, the structure is re-initialized from
+        the pre-batch snapshot taken just before it instead (O(n + m),
+        paid only where the rebuild already paid it).  Charges nothing
+        to the tracker, like :meth:`from_snapshot`.
+        """
+        undo = self._undo
+        if undo is None:
+            raise RuntimeError("rollback_undo without begin_undo")
+        self._undo = None
+        if undo.snapshot is not None:
+            self.__init__(  # noqa: PLC2801 - deliberate in-place re-init
+                tracker=self.tracker, **undo.snapshot["params"]
+            )
+            self._load_snapshot(undo.snapshot)
+        else:
+            for batch in reversed(undo.batches):
+                for u, v in batch.insertions:
+                    if self.has_edge(u, v):
+                        self._delete_edge_struct(u, v)
+                for u, v in batch.deletions:
+                    if not self.has_edge(u, v):
+                        self._insert_edge_struct(u, v)
+            if undo.levels:
+                self._undo_moves(undo.levels)
+            for v in self._vertices_since(undo.num_vertices):
+                self._drop_vertex(v)
+            orient = self._orient
+            for e, d in undo.orient.items():
+                if d is None:
+                    orient.pop(e, None)
+                else:
+                    orient[e] = d
+        (
+            self._m,
+            self._vertex_updates,
+            self.last_moved,
+            self._levels_reshaped,
+        ) = undo.scalars
+        self._touched = set()
+
+    def _note_orient(self, e: tuple[int, int]) -> None:
+        undo = self._undo
+        if undo is not None and e not in undo.orient:
+            undo.orient[e] = self._orient.get(e)
+
+    def _undo_moves(self, levels: dict[int, int]) -> None:
+        """Reset moved vertices (keyed by id) to their logged levels:
+        unlink their edges at the current levels, move, relink."""
+        vertices = self._vertices
+        edges: list[tuple[_VertexRecord, _VertexRecord]] = []
+        for v in levels:
+            rec = vertices[v]
+            for wrec in rec.up:
+                if wrec.id not in levels or v < wrec.id:
+                    edges.append((rec, wrec))
+            for bucket in rec.down.values():
+                for wrec in bucket:
+                    if wrec.id not in levels or v < wrec.id:
+                        edges.append((rec, wrec))
+        for ru, rv in edges:
+            self._unlink_records(ru, rv)
+        for v, level in levels.items():
+            vertices[v].level = level
+        for ru, rv in edges:
+            self._link_records(ru, rv)
+
+    def _undo_level_ids(self, levels: dict[int, int]) -> dict[int, int]:
+        """The undo log's level entries keyed by vertex id."""
+        return levels
+
+    def _vertices_since(self, n: int) -> list[int]:
+        """The vertices created after the first ``n``, newest first."""
+        return list(islice(reversed(self._vertices), self.num_vertices - n))
+
+    def _pre_attempt_snapshot(self, undo: _UndoLog) -> dict:
+        """:meth:`to_snapshot` of the state before the armed attempt,
+        derived from the current state and the log."""
+        snap = self.to_snapshot()
+        old = self._undo_level_ids(undo.levels)
+        created = set(self._vertices_since(undo.num_vertices))
+        snap["levels"] = [
+            [v, old.get(v, level)]
+            for v, level in snap["levels"]
+            if v not in created
+        ]
+        edges = set(snap["edges"])
+        for batch in reversed(undo.batches):
+            for e in batch.insertions:
+                edges.discard(canonical_edge(*e))
+            for e in batch.deletions:
+                edges.add(canonical_edge(*e))
+        snap["edges"] = sorted(edges)
+        return snap
 
     # ------------------------------------------------------------------
     # Snapshots (persistence for long-running monitors)
@@ -1414,18 +1602,23 @@ class PLDS(QueryView):
         if snapshot.get("format") != 1:
             raise ValueError("unsupported snapshot format")
         plds = cls(tracker=tracker, **snapshot["params"])
-        for v, level in snapshot["levels"]:
-            if not 0 <= level < plds.num_levels:
-                raise ValueError(f"level {level} of vertex {v} out of range")
-            plds._restore_level(v, level)
-        for u, v in snapshot["edges"]:
-            if not plds._has_vertex(u) or not plds._has_vertex(v):
-                raise ValueError(f"edge ({u},{v}) references unknown vertex")
-            plds._insert_edge_struct(u, v)
-        if plds.track_orientation:
-            for e in plds.edges():
-                plds._orient[e] = plds.orientation_of(*e)
+        plds._load_snapshot(snapshot)
         return plds
+
+    def _load_snapshot(self, snapshot: dict) -> None:
+        """Fill a freshly initialized structure from snapshot levels and
+        edges (no rebalancing, no metering)."""
+        for v, level in snapshot["levels"]:
+            if not 0 <= level < self.num_levels:
+                raise ValueError(f"level {level} of vertex {v} out of range")
+            self._restore_level(v, level)
+        for u, v in snapshot["edges"]:
+            if not self._has_vertex(u) or not self._has_vertex(v):
+                raise ValueError(f"edge ({u},{v}) references unknown vertex")
+            self._insert_edge_struct(u, v)
+        if self.track_orientation:
+            for e in self.edges():
+                self._orient[e] = self.orientation_of(*e)
 
     def level_histogram(self) -> dict[int, int]:
         """Number of vertices per (non-empty) level."""

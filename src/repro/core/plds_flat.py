@@ -531,6 +531,46 @@ class PLDSFlat(PLDS):
             dels.add(e)
 
     # ------------------------------------------------------------------
+    # Undo log (slot edition; see PLDS.begin_undo)
+    # ------------------------------------------------------------------
+
+    def rollback_undo(self) -> None:
+        super().rollback_undo()
+        # Edges, levels and possibly the slot count changed behind the
+        # resident image's back: ship it whole on the next dispatch.
+        self._pool_renumber = True
+        del self._pool_dirty_slots[:]
+
+    def _undo_moves(self, levels: dict[int, int]) -> None:
+        # Keys are slots: stable for the whole attempt, since slots are
+        # only appended while it runs.
+        ups = self._up
+        downs = self._down
+        edges: list[tuple[int, int]] = []
+        for i in levels:
+            for j in ups[i]:
+                if j not in levels or i < j:
+                    edges.append((i, j))
+            for bucket in downs[i].values():
+                for j in bucket:
+                    if j not in levels or i < j:
+                        edges.append((i, j))
+        for i, j in edges:
+            self._unlink_slots(i, j)
+        lv = self._lv
+        for i, level in levels.items():
+            lv[i] = level
+        for i, j in edges:
+            self._link_slots(i, j)
+
+    def _undo_level_ids(self, levels: dict[int, int]) -> dict[int, int]:
+        vid = self._vid
+        return {vid[i]: level for i, level in levels.items()}
+
+    def _vertices_since(self, n: int) -> list[int]:
+        return self._vid[n:][::-1]
+
+    # ------------------------------------------------------------------
     # Algorithm 2: RebalanceInsertions (flat)
     # ------------------------------------------------------------------
 
@@ -595,6 +635,8 @@ class PLDSFlat(PLDS):
         track = self.track_orientation
         touched = self._touched
         mut_depth = self._mut_depth
+        undo = self._undo
+        undo_levels = undo.levels if undo is not None else None
         fault_plan = _faults.ACTIVE
         tracer = _tracing.ACTIVE
         mreg = _metrics.ACTIVE
@@ -699,6 +741,8 @@ class PLDSFlat(PLDS):
                             down[level] = set(stay)
                         else:
                             slot.update(stay)
+                    if undo_levels is not None:
+                        undo_levels.setdefault(i, level)
                     lv[i] = target
                     if len(up_i) > bound_t:
                         marked_append(v)
@@ -747,6 +791,8 @@ class PLDSFlat(PLDS):
                             down[level] = set(stay)
                         else:
                             slot.update(stay)
+                    if undo_levels is not None:
+                        undo_levels.setdefault(i, level)
                     lv[i] = target
                     if len(up_i) > bound_t:
                         marked_append(v)
@@ -837,6 +883,9 @@ class PLDSFlat(PLDS):
                 down[lw] = {j}
             else:
                 slot.add(j)
+        undo = self._undo
+        if undo is not None:
+            undo.levels.setdefault(i, old)
         lv[i] = target
         return newly_marked
 
@@ -1076,6 +1125,9 @@ class PLDSFlat(PLDS):
                     w = vid[j]
                     touched.add((v, w) if v <= w else (w, v))
 
+        undo = self._undo
+        if undo is not None:
+            undo.levels.setdefault(i, old)
         lv[i] = new_level
         tracker.add(work=max(1, ops), depth=self._mut_depth)
         return weakened

@@ -17,11 +17,16 @@ asynchronous-reads model of Liu–Shun–Zablotchi, PAPERS.md): an engine
 *publishes* an immutable :class:`EpochSnapshot` of its level image at
 each commit point, and readers query the snapshot — wait-free, never
 observing a torn mid-batch state.  Publication is copy-on-write: the
-previous epoch's maps are copied (a C-speed ``dict.copy``) and only the
+previous epoch's maps are copied once each (a C-speed ``dict.copy``,
+handed to the new epoch already wrapped read-only) and only the
 ``touched`` vertices re-derived, so a commit pays O(n_prev + |touched|)
 map work instead of a full O(n) estimate rebuild.  Publication is
 opt-in — engines driven directly (the bench hot path) never publish and
 pay nothing.
+
+Service-level epochs also pin their committed edge set as a
+:class:`VersionedEdges`: a compacted base plus a chain of per-batch
+deltas, so publishing a batch costs O(|B|) amortized, not O(m).
 
 Two pieces of bookkeeping make incremental publication safe:
 
@@ -41,11 +46,145 @@ rebuild.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
-__all__ = ["CorenessQueries", "EpochSnapshot", "QueryView"]
+__all__ = ["CorenessQueries", "EpochSnapshot", "QueryView", "VersionedEdges"]
+
+Edge = tuple[int, int]
+
+#: A delta chain is compacted into a new base once the edits it holds
+#: exceed this fraction of the base's size: each compaction costs
+#: O(m) and follows Ω(m) edits, so a publish costs O(|B|) amortized.
+COMPACT_FRACTION = 0.25
+
+_NO_EDGES: frozenset[Edge] = frozenset()
+
+
+def _canonical_set(edges: Iterable[Edge]) -> frozenset[Edge]:
+    # Batches almost always arrive canonical: keep their tuples rather
+    # than allocating a fresh one per edge.
+    out = frozenset(edges)
+    if any(u > v for u, v in out):
+        out = frozenset((u, v) if u < v else (v, u) for u, v in out)
+    return out
+
+
+class VersionedEdges(Set):
+    """One immutable version of a committed edge set.
+
+    A version is either a *base* (it holds its edges as a frozenset) or
+    a per-batch delta ``(insertions, deletions)`` over its parent
+    version.  It behaves as a read-only set of canonical ``(u, v)``
+    edges (``in``, ``len``, iteration, comparison with a frozenset);
+    the first such use materializes the full set by replaying the
+    chain from the nearest base, caches it, and lets go of the parent.
+    :meth:`advance` compacts eagerly once the chain's edits exceed
+    :data:`COMPACT_FRACTION` of the base, which bounds both the chain
+    and the replay cost.
+    """
+
+    __slots__ = ("_parent", "_ins", "_dels", "_set", "_base_size", "_pending")
+
+    def __init__(self, edges: Iterable[Edge] = ()) -> None:
+        self._parent: VersionedEdges | None = None
+        self._ins = self._dels = _NO_EDGES
+        self._set: frozenset[Edge] | None = _canonical_set(edges)
+        self._base_size = len(self._set)
+        self._pending = 0
+
+    def advance(
+        self, insertions: Iterable[Edge], deletions: Iterable[Edge]
+    ) -> "VersionedEdges":
+        """The next version: this one with ``deletions`` removed and
+        ``insertions`` added.  O(|B|), plus an amortized compaction."""
+        child = VersionedEdges.__new__(VersionedEdges)
+        child._parent = self
+        child._ins = _canonical_set(insertions) or _NO_EDGES
+        child._dels = _canonical_set(deletions) or _NO_EDGES
+        child._set = None
+        child._base_size = self._base_size
+        # Every link counts at least once, so empty batches cannot grow
+        # an unbounded chain either.
+        child._pending = self._pending + max(1, len(child._ins) + len(child._dels))
+        if child._pending > COMPACT_FRACTION * child._base_size:
+            child._materialize()
+        return child
+
+    def _materialize(self) -> frozenset[Edge]:
+        edges = self._set
+        if edges is not None:
+            return edges
+        chain: list[VersionedEdges] = []
+        node = self
+        while True:
+            # Parent before set: a concurrent materialization of ``node``
+            # stores its set before it drops the parent link.
+            parent = node._parent
+            base = node._set
+            if base is not None:
+                break
+            assert parent is not None
+            chain.append(node)
+            node = parent
+        work = set(base)
+        for link in reversed(chain):
+            work.difference_update(link._dels)
+            work.update(link._ins)
+        edges = frozenset(work)
+        self._set = edges
+        # Now a base: descendants stop their replay here, and the
+        # ancestors (if no other reader pins them) can be freed.
+        self._parent = None
+        self._ins = self._dels = _NO_EDGES
+        self._base_size = len(edges)
+        self._pending = 0
+        return edges
+
+    @property
+    def pending(self) -> int:
+        """Edits between this version and its base (0 for a base)."""
+        return self._pending
+
+    @property
+    def base_size(self) -> int:
+        """Edge count of the base this version's chain replays from."""
+        return self._base_size
+
+    @property
+    def chain_length(self) -> int:
+        """Delta links between this version and the nearest base."""
+        length = 0
+        node = self
+        while node._set is None:
+            length += 1
+            assert node._parent is not None
+            node = node._parent
+        return length
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in self._materialize()
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self._materialize())
+
+    def __len__(self) -> int:
+        return len(self._materialize())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, VersionedEdges):
+            return self._materialize() == other._materialize()
+        if isinstance(other, (set, frozenset)):
+            return self._materialize() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"VersionedEdges(chain={self.chain_length}, "
+            f"pending={self._pending}, base={self._base_size})"
+        )
 
 
 class CorenessQueries:
@@ -92,10 +231,14 @@ class EpochSnapshot(CorenessQueries):
 
     ``estimates`` and ``levels`` are exposed through read-only mapping
     proxies — an epoch, once published, never changes (that is the whole
-    consistency contract).  Engine-level epochs carry just the level
-    image; service-level epochs additionally pin the committed edge set
-    (for :meth:`core_subgraph`), the batch horizon, and the degradation
-    flag, and sharded engines record the per-shard epoch vector that was
+    consistency contract).  A plain mapping is copied; a
+    ``MappingProxyType`` is taken as is, so a publisher that built fresh
+    dicts hands them over wrapped and pays no second copy (it must not
+    keep a reference to the dict it wrapped).  Engine-level epochs carry
+    just the level image; service-level epochs additionally pin the
+    committed edge set (a :class:`VersionedEdges`, for
+    :meth:`core_subgraph`), the batch horizon, and the degradation flag,
+    and sharded engines record the per-shard epoch vector that was
     scatter-gathered at the commit point.
     """
 
@@ -109,20 +252,26 @@ class EpochSnapshot(CorenessQueries):
     #: was the service degraded when this epoch was published?
     degraded: bool = False
     #: committed edge set (service-level; ``None`` for engine epochs).
-    edges: frozenset[tuple[int, int]] | None = field(
-        default=None, repr=False
-    )
+    edges: AbstractSet[Edge] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "estimates", MappingProxyType(dict(self.estimates))
-        )
-        object.__setattr__(
-            self, "levels", MappingProxyType(dict(self.levels))
-        )
+        for name in ("estimates", "levels"):
+            value = getattr(self, name)
+            if not isinstance(value, MappingProxyType):
+                object.__setattr__(self, name, MappingProxyType(dict(value)))
 
     def _estimates_view(self) -> Mapping[int, float]:
         return self.estimates
+
+    def copy_maps(self) -> tuple[dict[int, float], dict[int, int]]:
+        """Fresh ``(estimates, levels)`` dicts for a publisher deriving
+        the next epoch: one C-level ``dict.copy`` each (the generic
+        ``dict(proxy)`` mapping walk is over ten times slower)."""
+        est, lv = self.estimates, self.levels
+        return (
+            est.copy() if isinstance(est, MappingProxyType) else dict(est),
+            lv.copy() if isinstance(lv, MappingProxyType) else dict(lv),
+        )
 
     def level(self, v: int) -> int:
         """Level of ``v`` as of this epoch (0 for unknown vertices)."""
@@ -236,8 +385,7 @@ class QueryView(CorenessQueries):
             estimates = self.coreness_estimates()
             levels = {v: lvl for v, lvl, _ in self._level_items()}
         else:
-            estimates = dict(prev.estimates)
-            levels = dict(prev.levels)
+            estimates, levels = prev.copy_maps()
             lpg = self.levels_per_group
             pow_table = self._group_pow
             for v in touched:
@@ -255,7 +403,9 @@ class QueryView(CorenessQueries):
                     levels[v] = lvl
         self._epoch_serial += 1
         snap = EpochSnapshot(
-            epoch=self._epoch_serial, estimates=estimates, levels=levels
+            epoch=self._epoch_serial,
+            estimates=MappingProxyType(estimates),
+            levels=MappingProxyType(levels),
         )
         self._published = snap
         return snap

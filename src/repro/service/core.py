@@ -61,7 +61,7 @@ from ..obs import timeline as _timeline
 from ..obs import tracing as _tracing
 from ..core.invariants import plds_invariant_violations, structure_matches_edges
 from ..core.plds import PLDS
-from ..core.query import EMPTY_EPOCH, CorenessQueries, EpochSnapshot
+from ..core.query import EMPTY_EPOCH, CorenessQueries, EpochSnapshot, VersionedEdges
 from ..faults import InjectedFault
 from ..graphs.dynamic_graph import DynamicGraph
 from ..graphs.streams import (
@@ -362,14 +362,17 @@ class CoreService:
     transactional:
         When ``True`` (default), every batch is journaled write-ahead
         and any mid-apply exception rolls the engine back to its exact
-        pre-batch state.  Snapshot-capable engines (the PLDS family and
-        the sharded coordinator, which snapshots and restores shard by
-        shard) restore bit-identically from a pre-batch structural
-        snapshot; other engines — and hosted applications — are rebuilt
-        by replaying the untouched graph mirror (valid, though for
-        path-dependent approximate engines not bit-identical).  ``False``
-        restores the pre-PR fail-fast behavior: exceptions propagate and
-        the engine is left as the failure left it.
+        pre-batch state.  Snapshot-capable engines roll back in place
+        through the undo log armed before each attempt
+        (``begin_undo`` / ``rollback_undo``): the PLDS family records
+        the old level of every vertex it moves and restores in
+        O(|B| + Σ deg(moved)), bit-identically; the sharded coordinator
+        keeps a full snapshot as its log and restores shard by shard.
+        Other engines — and hosted applications — are rebuilt by
+        replaying the untouched graph mirror (valid, though for
+        path-dependent approximate engines not bit-identical).
+        ``False`` restores the pre-PR fail-fast behavior: exceptions
+        propagate and the engine is left as the failure left it.
 
         The fault-isolation ladder under sharding, innermost first: a
         fault injected at ``shard.apply`` rolls back and retries **only
@@ -499,8 +502,10 @@ class CoreService:
         """Apply one batch of *unique, valid* updates, transactionally.
 
         The batch is journaled write-ahead, then applied under the
-        service's :class:`RetryPolicy`: a failed attempt rolls the
-        engine back to its exact pre-batch state, charges the metered
+        service's :class:`RetryPolicy`: each attempt runs with the
+        engine's undo log armed, so a failed attempt rolls the engine
+        back in place to its exact pre-batch state (O(|B| + Σ deg of
+        the moved vertices), no per-batch snapshot), charges the metered
         backoff, and retries (transient faults only); exhausted or
         non-transient failures re-raise with the journal record aborted
         and the service still serving the pre-batch state.  After a
@@ -514,10 +519,9 @@ class CoreService:
         method runs under a ``service.batch`` span whose (work, depth)
         delta equals this batch's :class:`BatchTelemetry` exactly on
         fault-free batches, with one ``service.apply`` child span per
-        attempt; rollback re-snapshotting breaks the equality for
-        batches that needed a retry (by design — telemetry discards
-        rolled-back metering, the span does not once the engine keeps
-        its tracker).
+        attempt; the equality breaks for batches that needed a retry
+        (by design — telemetry discards rolled-back metering, the span
+        keeps it, since rollback leaves the engine's tracker as is).
         """
         tracer = _tracing.ACTIVE
         if tracer is None:
@@ -548,7 +552,7 @@ class CoreService:
     ) -> BatchTelemetry:
         mreg = _metrics.ACTIVE
         record = self.journal.begin(batch)
-        restore_point = self._restore_point() if self.transactional else None
+        undo_engine = self._undo_engine() if self.transactional else None
         attempts = 0
         rolled_back = False
         t0 = time.perf_counter()
@@ -560,6 +564,8 @@ class CoreService:
                 if tracer is not None
                 else None
             )
+            if undo_engine is not None:
+                undo_engine.begin_undo()
             try:
                 plan = _faults.ACTIVE
                 if plan is not None:
@@ -584,9 +590,12 @@ class CoreService:
                 if not self.transactional:
                     self.journal.abort(record)
                     raise
-                self._restore_engine(
-                    tuple(sorted(self._graph.edges())), restore_point
-                )
+                if undo_engine is not None:
+                    undo_engine.rollback_undo()
+                else:
+                    # No undo log: rebuild from the mirror, which still
+                    # holds the pre-batch edge set.
+                    self._restore_engine(sorted(self._graph.edges()), None)
                 rolled_back = True
                 if mreg is not None:
                     mreg.inc("service.rollbacks")
@@ -609,6 +618,8 @@ class CoreService:
                 backoff = self.retry.backoff_for(attempts)
                 if backoff:
                     self._tracker().add(work=0, depth=backoff)
+        if undo_engine is not None:
+            undo_engine.commit_undo()
         wall = time.perf_counter() - t0
         # Mirror only after the engine accepted the batch, so a rejected
         # (invalid) batch leaves service state untouched.
@@ -624,7 +635,7 @@ class CoreService:
         # committed and the mirror reflects the batch, so the new state
         # becomes readable *now* — before the audit, which may take a
         # long degradation detour that readers must not wait on.
-        published = self._publish_epoch(self._commit_touched(batch))
+        published = self._publish_epoch(self._commit_touched(batch), batch)
         degraded = False
         if self.audit_policy.due(self.batches_applied, rolled_back):
             if tracer is not None:
@@ -775,7 +786,9 @@ class CoreService:
         """
         return ServiceReader(self)
 
-    def _publish_epoch(self, touched: "set[int] | None" = None) -> EpochSnapshot:
+    def _publish_epoch(
+        self, touched: "set[int] | None" = None, batch: Batch | None = None
+    ) -> EpochSnapshot:
         """Publish the current committed state as the next read epoch.
 
         Engines exposing the :class:`~repro.core.query.QueryView`
@@ -783,7 +796,13 @@ class CoreService:
         re-derived; the sharded coordinator additionally records its
         stable per-shard epoch vector); everything else — including the
         exact static engine the degradation ladder falls back to — is
-        published from a full estimate sweep.  Callers must sit at a
+        published from a full estimate sweep.  The epoch's maps are
+        shared with the engine's (already read-only) epoch, not copied.
+
+        The pinned edge set advances the previous epoch's
+        :class:`~repro.core.query.VersionedEdges` by ``batch`` — O(|B|)
+        amortized.  Without a batch (the initial publish, degradation,
+        restore) it is re-based on the mirror.  Callers must sit at a
         commit point: the journal commit, a degradation rebuild's end,
         or a snapshot restore.
         """
@@ -798,6 +817,11 @@ class CoreService:
         else:
             estimates = self._adapter.estimates()
             levels = {}
+        prev_edges = self._published.edges
+        if batch is None or not isinstance(prev_edges, VersionedEdges):
+            edges = VersionedEdges(self._graph.edges())
+        else:
+            edges = prev_edges.advance(batch.insertions, batch.deletions)
         self.read_epoch += 1
         view = EpochSnapshot(
             epoch=self.read_epoch,
@@ -806,7 +830,7 @@ class CoreService:
             shard_epochs=shard_epochs,
             batches_applied=self.batches_applied,
             degraded=self.degraded,
-            edges=frozenset(self._graph.edges()),
+            edges=edges,
         )
         self._published = view
         mreg = _metrics.ACTIVE
@@ -832,12 +856,14 @@ class CoreService:
             touched.add(v)
         return touched
 
-    def _restore_point(self) -> dict | None:
-        """Pre-batch rollback state: an exact structural snapshot for
-        snapshot-capable engines, ``None`` for everything rebuilt by
-        replaying the (still pre-batch) graph mirror."""
+    def _undo_engine(self) -> Any:
+        """The engine that rolls a failed attempt back itself, through
+        its undo log (``begin_undo`` / ``commit_undo`` /
+        ``rollback_undo``): the snapshot-capable engines.  ``None`` for
+        everything rebuilt by replaying the (still pre-batch) graph
+        mirror, hosted applications included."""
         if self._driver is None and self.spec.snapshot:
-            return self._adapter.impl.to_snapshot()
+            return self._adapter.impl
         return None
 
     # -- auditing and graceful degradation -------------------------------
@@ -1066,11 +1092,12 @@ class CoreService:
     ) -> None:
         """Put the engine into the state described by (edges, engine_state).
 
-        Shared by :meth:`restore` (rewind to a snapshot) and the
-        transactional rollback path (restore to the pre-batch state,
-        whose edge set the not-yet-mirrored graph still holds).  The
-        engine's tracker is carried over on the exact-snapshot path so
-        metering stays monotone across rollbacks.
+        Shared by :meth:`restore` (rewind to a snapshot), the
+        degradation ladder, and the rollback of engines without an undo
+        log (restore to the pre-batch state, whose edge set the
+        not-yet-mirrored graph still holds).  The engine's tracker is
+        carried over on the exact-snapshot path so metering stays
+        monotone across restores.
         """
         if self._driver is not None:
             assert self.application_key is not None

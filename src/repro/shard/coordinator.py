@@ -36,6 +36,7 @@ single level structure).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable
 
 from .. import faults as _faults
@@ -141,6 +142,8 @@ class Coordinator:
         #: per-shard scatter depth vector (admission-control inputs).
         self.last_rounds = 0
         self.last_shard_depths: list[int] = [0] * self.num_shards
+        #: the armed undo state (see :meth:`begin_undo`).
+        self._undo: tuple | None = None
 
     # -- conveniences ---------------------------------------------------
 
@@ -486,8 +489,7 @@ class Coordinator:
                 estimates.update(snap.estimates)
                 levels.update(snap.levels)
         else:
-            estimates = dict(prev.estimates)
-            levels = dict(prev.levels)
+            estimates, levels = prev.copy_maps()
             for s, snap in enumerate(snaps):
                 for v in per_shard[s]:
                     est = snap.estimates.get(v)
@@ -500,8 +502,8 @@ class Coordinator:
         self._epoch_serial += 1
         view = EpochSnapshot(
             epoch=self._epoch_serial,
-            estimates=estimates,
-            levels=levels,
+            estimates=MappingProxyType(estimates),
+            levels=MappingProxyType(levels),
             shard_epochs=tuple(s.epoch for s in snaps),
         )
         self._published = view
@@ -519,6 +521,49 @@ class Coordinator:
     @property
     def read_epoch(self) -> int:
         return self._epoch_serial
+
+    # -- undo log (transactional attempts) --------------------------------
+
+    def begin_undo(self) -> None:
+        """Arm rollback to the current state (the PLDS protocol).
+
+        The coordinator's log is simply its full snapshot: per-shard
+        ghost replicas make a move-by-move undo a second exchange
+        protocol, and this engine is not on the batch-proportional path.
+        """
+        self._undo = (
+            self.to_snapshot(),
+            self.last_moved,
+            self._levels_reshaped,
+            self.last_rounds,
+            self.last_shard_depths,
+        )
+
+    def commit_undo(self) -> None:
+        self._undo = None
+
+    def rollback_undo(self) -> None:
+        """Restore the state :meth:`begin_undo` saw, in place (the
+        engine is rebuilt from the snapshot; the epoch store stays)."""
+        undo = self._undo
+        if undo is None:
+            raise RuntimeError("rollback_undo without begin_undo")
+        self._undo = None
+        (
+            snapshot,
+            self.last_moved,
+            self._levels_reshaped,
+            self.last_rounds,
+            self.last_shard_depths,
+        ) = undo
+        old_kernels = self.engine.kernels
+        self.engine = type(self).from_snapshot(
+            snapshot, tracker=self.tracker
+        ).engine
+        for k in old_kernels:
+            image = getattr(k, "_pool_image", None)
+            if image is not None:
+                image.close()
 
     # -- snapshots ------------------------------------------------------
 

@@ -15,6 +15,8 @@ fault-free serial run at the exact batch prefix the read claims to
 serve.
 """
 
+import random
+
 import pytest
 
 from repro import faults
@@ -24,9 +26,11 @@ from repro.bench.chaos import (
     probe_consistent,
     run_chaos,
 )
+from repro.core.query import COMPACT_FRACTION
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch, insertion_batches
 from repro.service import AuditPolicy, CoreService, ReadResult, RetryPolicy
+from repro.static_kcore.subgraphs import k_core_subgraph
 
 pytestmark = pytest.mark.mvcc
 
@@ -256,3 +260,76 @@ class TestEpochMonotonicity:
     def test_epoch_start_validation(self):
         with pytest.raises(ValueError, match="epoch_start"):
             CoreService("plds", n_hint=16, epoch_start=-1)
+
+
+# ---------------------------------------------------------------------------
+# Versioned epoch edges: delta chains, compaction, re-basing
+# ---------------------------------------------------------------------------
+
+
+def _toggle_stream(edges, batches: int, seed: int):
+    """One-edge batches alternating a deletion and its reinsertion, with
+    the live edge set after each batch."""
+    rng = random.Random(seed)
+    present = sorted(edges)
+    absent: list[tuple[int, int]] = []
+    for i in range(batches):
+        if i % 2 == 0:
+            e = present.pop(rng.randrange(len(present)))
+            absent.append(e)
+            batch = Batch(deletions=[e])
+        else:
+            e = absent.pop(rng.randrange(len(absent)))
+            present.append(e)
+            batch = Batch(insertions=[e])
+        yield batch, frozenset(present)
+
+
+class TestVersionedEdges:
+    def test_pinned_epochs_survive_compaction_restore_and_rebase(self):
+        svc = CoreService("pldsflatopt", n_hint=256, audit=AuditPolicy("every"))
+        svc.apply_batch(Batch(insertions=EDGES))
+        snap = svc.snapshot()
+        # (pinned epoch, its committed edge set) — the expected answers
+        # come from the test's own model, never from the epoch, so no
+        # version is materialized before the end.
+        pins = [(svc.reader().view, frozenset(EDGES))]
+        bases = 0
+        for batch, live in _toggle_stream(EDGES, 400, seed=4):
+            svc.apply_batch(batch)
+            view = svc.reader().view
+            bases += view.edges.chain_length == 0
+            pins.append((view, live))
+        assert bases >= 2  # the chain compacted more than once
+        svc.restore(snap)
+        assert svc.reader().view.edges.chain_length == 0  # re-based
+        pins.append((svc.reader().view, frozenset(EDGES)))
+        _corrupt(svc)
+        t = svc.apply_batch(Batch(deletions=[EDGES[0]]))
+        assert t.degraded
+        degraded_view = svc.reader().view
+        assert degraded_view.edges.chain_length == 0  # re-based
+        pins.append((degraded_view, frozenset(EDGES[1:])))
+        # Materialize newest first, so older versions replay chains whose
+        # descendants already became bases.
+        for view, live in reversed(pins):
+            assert view.edges == live
+            assert len(view.edges) == len(live)
+            verts, edges = view.core_subgraph(2)
+            ref_verts, ref_edges = k_core_subgraph(sorted(live), 2)
+            assert verts == ref_verts and set(edges) == set(ref_edges)
+
+    def test_chain_stays_bounded_over_one_edge_stream(self):
+        edges = barabasi_albert(200, 3, seed=6)
+        svc = CoreService("pldsflatopt", n_hint=256)
+        svc.apply_batch(Batch(insertions=edges))
+        compactions = 0
+        live = frozenset(edges)
+        for batch, live in _toggle_stream(edges, 2000, seed=8):
+            svc.apply_batch(batch)
+            version = svc.reader().view.edges
+            assert version.pending <= COMPACT_FRACTION * version.base_size
+            assert version.chain_length <= version.pending
+            compactions += version.chain_length == 0
+        assert compactions >= 2000 / (2 * COMPACT_FRACTION * len(edges))
+        assert svc.reader().view.edges == live

@@ -362,8 +362,13 @@ def _corrupt(svc: CoreService) -> None:
     svc._adapter.update(Batch(insertions=[(900, 901)]))
 
 
-def test_audit_detects_corrupted_engine():
-    svc = CoreService("plds", n_hint=1024)
+#: One engine per layout: the undo log must not heal a desync on either.
+DESYNC_ALGOS = ("plds", "pldsflatopt")
+
+
+@pytest.mark.parametrize("algorithm", DESYNC_ALGOS)
+def test_audit_detects_corrupted_engine(algorithm):
+    svc = CoreService(algorithm, n_hint=1024)
     svc.apply_batch(Batch(insertions=EDGES[:50]))
     assert svc.audit() == []
     _corrupt(svc)
@@ -415,9 +420,10 @@ def test_degradation_last_resort_is_exact_static(monkeypatch):
     svc.apply_batch(Batch(insertions=EDGES[90:100]))
 
 
-def test_on_recovery_audit_runs_only_after_rollback():
+@pytest.mark.parametrize("algorithm", DESYNC_ALGOS)
+def test_on_recovery_audit_runs_only_after_rollback(algorithm):
     svc = CoreService(
-        "plds", n_hint=1024, audit=AuditPolicy("on-recovery")
+        algorithm, n_hint=1024, audit=AuditPolicy("on-recovery")
     )
     svc.apply_batch(Batch(insertions=EDGES[:40]))
     _corrupt(svc)
