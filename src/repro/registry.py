@@ -215,8 +215,10 @@ class AlgorithmSpec:
         do; external engines may not).
     snapshot:
         Whether the engine supports exact structural snapshot/restore
-        (``to_snapshot``/``from_snapshot``); others are restored by
-        replaying the edge set.
+        (``to_snapshot``/``from_snapshot``) and in-place rollback of a
+        failed batch attempt (``begin_undo``/``commit_undo``/
+        ``rollback_undo``); others are restored by replaying the edge
+        set.
     sharded:
         Whether the engine is a partitioned multi-shard structure (the
         scatter-gather :class:`~repro.shard.Coordinator`).  The shard

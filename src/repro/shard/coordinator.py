@@ -17,8 +17,9 @@ Fault isolation ladder (bottom rung first):
    it, leaving every other shard untouched.
 2. Retries exhausted (``shard_retry_limit``) — the fault escapes to the
    :class:`~repro.service.CoreService` transaction, which rolls back
-   the *whole* engine (snapshot-capable, so bit-identically) and
-   re-applies the batch under its own :class:`~repro.service.RetryPolicy`.
+   the *whole* engine (bit-identically, from the snapshot
+   :meth:`Coordinator.begin_undo` took) and re-applies the batch under
+   its own :class:`~repro.service.RetryPolicy`.
 
 Batch hygiene lives here, once: ``validate_vertex_ids``, self-loop
 *dropping* (a stream-boundary convention, matching
