@@ -18,6 +18,13 @@ order — a canonical, run-to-run-deterministic tie-break.  On this stream
 that shifted the ``lds`` entry's work/depth from the seed's 3380/6320 to
 3382/6322 while leaving its coreness estimates bit-identical; every PLDS
 entry still matches the seed exactly.
+
+The sharded coordinator entries (``plds-sharded-<shards>-<config>``)
+pin the folded engine meter, which counts ghost-exchange messages and
+per-round barriers on top of the kernels' own charges.  Every entry
+also has a ``trajectory/<name>`` companion: the cumulative (work,
+depth) after each batch, so a change that shifts cost between batches
+cannot hide behind an unchanged final total.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from repro.core.lds import LDS
 from repro.core.plds import PLDS
 from repro.core.plds_flat import PLDSFlat
 from repro.graphs.streams import Batch
+from repro.shard import Coordinator
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "fixtures", "golden_parity.json"
@@ -73,6 +81,17 @@ def _stream(seed: int = 1234, n: int = _N, rounds: int = 10, batch: int = 40):
     return batches
 
 
+_SHARD_COUNTS = (1, 2, 4, 7)
+_SHARDED_CONFIGS: dict[str, dict] = {
+    "levelwise": {},
+    "jump": {"insertion_strategy": "jump"},
+    "pldsopt": {"group_shrink": 50, "insertion_strategy": "jump"},
+}
+
+#: Fixture key prefix of a scenario's per-batch (work, depth) trajectory.
+_TRAJECTORY = "trajectory/"
+
+
 def _scenarios() -> dict[str, object]:
     return {
         "plds-levelwise": lambda: PLDS(n_hint=_N_HINT),
@@ -97,20 +116,35 @@ def _scenarios() -> dict[str, object]:
         "pldsflatopt": lambda: PLDSFlat(
             n_hint=_N_HINT, group_shrink=50, insertion_strategy="jump"
         ),
+        "pldsopt-levelwise": lambda: PLDS(n_hint=_N_HINT, group_shrink=50),
+        **{
+            f"plds-sharded-{shards}-{config}": (
+                lambda shards=shards, kwargs=kwargs: Coordinator(
+                    _N_HINT, shards=shards, **kwargs
+                )
+            )
+            for config, kwargs in _SHARDED_CONFIGS.items()
+            for shards in _SHARD_COUNTS
+        },
     }
 
 
-def _run_scenario(name: str) -> dict:
+def _run_scenario(name: str) -> tuple[dict, list[list[int]]]:
+    """The scenario's final entry and its cumulative ``[work, depth]``
+    after every batch."""
     struct = _scenarios()[name]()
+    trajectory = []
     for b in _stream():
         struct.update(b)
-    return {
+        trajectory.append([struct.tracker.work, struct.tracker.depth])
+    entry = {
         "work": struct.tracker.work,
         "depth": struct.tracker.depth,
         "estimates": sorted(
             [v, est] for v, est in struct.coreness_estimates().items()
         ),
     }
+    return entry, trajectory
 
 
 def _load_fixture() -> dict:
@@ -120,8 +154,9 @@ def _load_fixture() -> dict:
 
 @pytest.mark.parametrize("name", sorted(_scenarios()))
 def test_golden_parity(name: str) -> None:
-    reference = _load_fixture()[name]
-    got = _run_scenario(name)
+    fixture = _load_fixture()
+    reference = fixture[name]
+    got, trajectory = _run_scenario(name)
     assert got["work"] == reference["work"], (
         f"{name}: metered work changed: {reference['work']} -> {got['work']}"
     )
@@ -131,6 +166,13 @@ def test_golden_parity(name: str) -> None:
     assert got["estimates"] == reference["estimates"], (
         f"{name}: coreness estimates diverged from the seed reference"
     )
+    expected = fixture[_TRAJECTORY + name]
+    for b, (step, ref) in enumerate(zip(trajectory, expected)):
+        assert step == ref, (
+            f"{name}: cumulative (work, depth) after batch {b} changed: "
+            f"{ref} -> {step}"
+        )
+    assert len(trajectory) == len(expected)
 
 
 @pytest.mark.parametrize(
@@ -152,7 +194,9 @@ def test_flat_entries_match_record_twins(
 
 def regenerate() -> None:  # pragma: no cover - maintenance entry point
     os.makedirs(os.path.dirname(FIXTURE_PATH), exist_ok=True)
-    data = {name: _run_scenario(name) for name in sorted(_scenarios())}
+    data = {}
+    for name in sorted(_scenarios()):
+        data[name], data[_TRAJECTORY + name] = _run_scenario(name)
     with open(FIXTURE_PATH, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
