@@ -13,8 +13,8 @@ key         implementation                                 kind
 =========== ============================================= ===========
 plds        :class:`repro.core.plds.PLDS`                  parallel approx
 pldsopt     PLDS with ``group_shrink=50`` (Section 6.1)    parallel approx
-pldsflat    :class:`repro.core.plds_flat.PLDSFlat`         parallel approx
-pldsflatopt PLDSFlat with ``group_shrink=50``              parallel approx
+pldsflat    alias of ``plds`` (old artifacts, CLI use)     parallel approx
+pldsflatopt alias of ``pldsopt``                           parallel approx
 lds         :class:`repro.core.lds.LDS`                    sequential approx
 sun         :class:`repro.baselines.sun.SunApproxDynamic`  sequential approx
 hua         :class:`repro.baselines.hua.HuaExactBatchDynamic` parallel exact

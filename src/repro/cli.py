@@ -1029,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="simulated",
                    help="execution backend for the PLDS-family engines: "
                         "'pool' fans read-only scans out to a process pool "
-                        "(flat engines only; others stay simulated)")
+                        "(PLDS keys and plds-sharded; others stay simulated)")
     p.add_argument("--workers", type=int, default=2,
                    help="worker processes for --backend pool")
     p.add_argument("--profile", action="store_true",

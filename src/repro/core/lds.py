@@ -71,53 +71,57 @@ class LDS(PLDS):
     def _fix_insertion_cascade(self, seeds: set[int], moved: set[int]) -> None:
         tracker = self.tracker
         bounds = self._inv1_bound_int
+        slot_of = self._slot_of
+        lv = self._lv
+        ups = self._up
+        vid = self._vid
         mreg = _metrics.ACTIVE
         queue = set(seeds)
         while queue:
             v = queue.pop()
-            rec = self._vertices.get(v)
-            if rec is None:
+            i = slot_of.get(v)
+            if i is None:
                 continue
-            while len(rec.up) > bounds[rec.level]:
+            while len(ups[i]) > bounds[lv[i]]:
                 if mreg is not None:
                     mreg.inc("lds.cascade_moves", phase="insert")
                 before = tracker.work
-                marked = self._move_up(rec)
+                marked = self._move_up_to_slot(i, lv[i] + 1)
                 # sequential: the move contributes its work to the depth too
                 tracker.add(work=0, depth=tracker.work - before)
                 moved.add(v)
-                # _move_up appends v's own record (last) when it still
-                # violates; this while loop already re-lifts v, so drop
-                # it to keep the queue contents (and hence cascade order)
-                # unchanged.  The queue holds ids, not records: set-pop
-                # order on small ints is reproducible across runs, which
-                # keeps the metered cascade deterministic.
-                if marked and marked[-1] is rec:
-                    marked.pop()
-                queue.update(sorted(m.id for m in marked))
+                # The queue holds ids fed in sorted order: set-pop order
+                # on small ints is reproducible across runs, which keeps
+                # the metered cascade deterministic.
+                queue.update(sorted(vid[j] for j in marked))
 
     def _fix_deletion_cascade(self, seeds: set[int], moved: set[int]) -> None:
         tracker = self.tracker
         thresholds = self._inv2_thresh_int
+        slot_of = self._slot_of
+        lv = self._lv
+        ups = self._up
+        downs = self._down
+        vid = self._vid
         mreg = _metrics.ACTIVE
         queue = set(seeds)
         while queue:
             v = queue.pop()
-            rec = self._vertices.get(v)
-            if rec is None or rec.level == 0:
+            i = slot_of.get(v)
+            if i is None or lv[i] == 0:
                 continue
             descended = False
-            while rec.level > 0:
-                below = rec.down.get(rec.level - 1)
-                up_star = len(rec.up) + (len(below) if below else 0)
-                if up_star >= thresholds[rec.level]:
+            while lv[i] > 0:
+                below = downs[i].get(lv[i] - 1)
+                up_star = len(ups[i]) + (len(below) if below else 0)
+                if up_star >= thresholds[lv[i]]:
                     break
                 if mreg is not None:
                     mreg.inc("lds.cascade_moves", phase="delete")
                 before = tracker.work
-                weakened = self._move_down(rec, rec.level - 1)
+                weakened = self._move_down_slot(i, lv[i] - 1)
                 tracker.add(work=0, depth=tracker.work - before)
                 descended = True
-                queue.update(sorted(w.id for w in weakened))
+                queue.update(sorted(vid[j] for j in weakened))
             if descended:
                 moved.add(v)

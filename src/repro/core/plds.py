@@ -28,6 +28,31 @@ Two configurations matter experimentally (Section 6):
 - **PLDSOpt**: levels per group divided by ``group_shrink=50``, trading a
   slightly worse approximation bound for large constant-factor speedups.
 
+Layout
+------
+The state is flat and slot-indexed, in the GBBS style ("Theoretically
+Efficient Parallel Graph Algorithms Can Be Fast and Scalable" — flat
+arrays and work-efficient primitives, not pointer graphs):
+
+- every vertex owns a dense *slot* in ``[0, n)``; all per-vertex state
+  is parallel arrays indexed by slot, compacted on vertex deletion;
+- ``level`` is one dense integer vector (``_lv``), the single hottest
+  load of every cascade loop; a contiguous int32 image of it
+  (:meth:`PLDS._level_bytes`) is the IPC format the pool backend ships
+  through shared memory;
+- ``_up[i]`` is the set of neighbor slots at levels >= the slot's level
+  (the paper's ``U[v]``) and ``_down[i]`` maps each lower level ``j`` to
+  the neighbor slots there (the paper's ``L_v[j]``; only non-empty
+  levels are stored);
+- desire levels are computed into a dense ``-1``-initialised scratch
+  vector sized by the live slot count, not a per-batch dict.
+
+A :class:`~repro.parallel.pool.PoolBackend` tracker ships the level
+image and a CSR adjacency through ``multiprocessing.shared_memory`` and
+fans the read-only desire-level scans out to worker processes (see
+:func:`repro.parallel.pool.attach_consider_task`); the metered (work,
+depth) is identical on every backend.
+
 Example
 -------
 >>> from repro.core.plds import PLDS
@@ -41,10 +66,10 @@ True
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .. import faults as _faults
 from ..graphs.dynamic_graph import canonical_edge
@@ -67,9 +92,7 @@ def _mark(buckets: dict[int, list[int]], level: int, v: int) -> None:
 
     The rebalancing cascades keep every dirty/pending bucket as a sorted
     list of vertex ids, so the mover lists handed to ``flat_parfor`` are
-    already in canonical order — no per-round re-sort (the buckets used
-    to be sets of records hashing by address, forcing each round to sort
-    its movers from scratch).
+    already in canonical order — no per-round re-sort.
     """
     bucket = buckets.get(level)
     if bucket is None:
@@ -78,6 +101,34 @@ def _mark(buckets: dict[int, list[int]], level: int, v: int) -> None:
     i = bisect_left(bucket, v)
     if i == len(bucket) or bucket[i] != v:
         bucket.insert(i, v)
+
+
+def _merge_marks(
+    buckets: dict[int, list[int]], buf: list[tuple[int, int]]
+) -> None:
+    """Bulk-apply buffered ``(level, id)`` marks into cascade buckets.
+
+    Produces exactly the sorted-unique buckets that per-item
+    :func:`_mark` calls would — one sort per touched level instead of a
+    bisect-insort (an O(bucket) list shift) per mark.  Safe whenever
+    nothing reads ``buckets`` between the marks being buffered and this
+    merge, which is the case between the cascade loops' ``flat_parfor``
+    rounds.  ``buf`` is drained.
+    """
+    per: dict[int, list[int]] = {}
+    for level, w in buf:
+        lst = per.get(level)
+        if lst is None:
+            per[level] = [w]
+        else:
+            lst.append(w)
+    buf.clear()
+    for level, items in per.items():
+        cur = buckets.get(level)
+        if cur is None:
+            buckets[level] = sorted(set(items))
+        else:
+            buckets[level] = sorted(set(items).union(cur))
 
 
 def _is_sorted_unique(items: list[int]) -> bool:
@@ -112,13 +163,13 @@ class UpdateResult:
 class _UndoLog:
     """What one armed attempt changed (see :meth:`PLDS.begin_undo`).
 
-    ``levels`` maps a moved vertex's key (its id on the record layout,
-    its slot on the flat layout) to its level before the attempt — only
-    the first move of each vertex is recorded.  ``batches`` are the
-    batches that passed validation, ``orient`` the old ``_orient``
-    entries they touched (``None`` = absent).  Vertices are only ever
-    appended during an attempt, so the ones it created are those past
-    ``num_vertices``.  ``snapshot`` is set instead when a Section-5.9
+    ``levels`` maps a moved vertex's slot to its level before the
+    attempt — only the first move of each vertex is recorded.  Slots are
+    stable for the whole attempt, since they are only appended while it
+    runs; the vertices it created are therefore those past
+    ``num_vertices``.  ``batches`` are the batches that passed
+    validation, ``orient`` the old ``_orient`` entries they touched
+    (``None`` = absent).  ``snapshot`` is set instead when a Section-5.9
     rebuild re-initialized the structure mid-attempt: the full pre-batch
     state to restore from.
     """
@@ -132,58 +183,6 @@ class _UndoLog:
         self.num_vertices = num_vertices
         self.scalars = scalars
         self.snapshot: dict | None = None
-
-
-class _VertexRecord:
-    """Per-vertex PLDS state.
-
-    ``up`` holds neighbors at levels >= the vertex's level (the paper's
-    ``U[v]``); ``down`` maps each lower level ``j`` to the set of neighbors
-    there (the paper's ``L_v[j]``; only non-empty levels are stored, which
-    realizes the space-efficient variant of Section 5.8).
-
-    Both structures store the neighbors' *records* (by reference), not
-    their ids — the rebalancing loops read a neighbor's level on every
-    visit, and a direct attribute load is substantially cheaper than an
-    id -> record dict lookup.  This mirrors the pointer-based adjacency
-    of the paper's C++ implementation.  Records hash by address, so set
-    iteration order is not reproducible across runs; every consumer that
-    feeds metered work orders movers by ``id`` first (or is provably
-    order-insensitive).
-
-    ``deg`` caches the total degree: it is maintained incrementally on
-    every edge insertion/deletion (level moves shuffle neighbors between
-    ``up`` and ``down`` but never change the degree), so ``degree()`` is
-    O(1) instead of re-summing every down-level set.
-
-    ``ghost`` marks a read-mostly replica of a vertex owned by another
-    shard (:mod:`repro.shard`): the record mirrors the owner's level and
-    the adjacency restricted to the holding shard's local vertices.  The
-    monolithic PLDS never sets it; cascade primitives treat ghost and
-    local records identically (the level-message boundary lives in the
-    shard kernel, which skips marking ghosts and emits move events
-    instead).
-    """
-
-    __slots__ = ("id", "level", "up", "down", "deg", "ghost")
-
-    def __init__(self, vid: int) -> None:
-        self.id = vid
-        self.level = 0
-        self.up: set["_VertexRecord"] = set()
-        self.down: dict[int, set["_VertexRecord"]] = {}
-        self.deg = 0
-        self.ghost = False
-
-    def degree(self) -> int:
-        return self.deg
-
-    def neighbors(self) -> Iterator[int]:
-        for r in self.up:
-            yield r.id
-        for s in self.down.values():
-            for r in s:
-                yield r.id
 
 
 class PLDS(QueryView):
@@ -210,7 +209,9 @@ class PLDS(QueryView):
         parameters* replace ``2 + 3/λ`` with 1.1, forfeiting the proofs
         but improving empirical error; Section 6.2).
     tracker:
-        Work-depth meter; a private one is created if omitted.
+        Work-depth meter; a private one is created if omitted.  Pass a
+        :class:`repro.parallel.pool.PoolBackend` to fan the scan phases
+        out to a process pool.
     track_orientation:
         Maintain the edge-orientation hash table ``H`` and report flips
         (Algorithm 5).  Required by the Section-8 framework; off by
@@ -225,7 +226,8 @@ class PLDS(QueryView):
     structure:
         Which of the paper's data-structure variants to model
         (Section 5.8).  All three compute identical results; they differ
-        in the metered depth of per-level bookkeeping and in space:
+        in the metered depth of per-level bookkeeping and in space
+        (:meth:`space_bytes`):
 
         - ``"randomized"`` — parallel hash tables: O(log* n) depth,
           O(n log² n + m) space (default; the paper's implementation);
@@ -235,8 +237,6 @@ class PLDS(QueryView):
           depth per level, O(n + m) space.
     """
 
-    #: per-variant (depth-charge-fn, charges-level-slots) table; the
-    #: depth charge is applied per batched structure mutation.
     _STRUCTURES = ("randomized", "deterministic", "space_efficient")
 
     #: The armed undo log, if any.  A class-attribute default like the
@@ -256,6 +256,12 @@ class PLDS(QueryView):
         insertion_strategy: str = "levelwise",
         structure: str = "randomized",
     ) -> None:
+        # The Section-5.9 rebuild path re-runs __init__ on a live
+        # instance; release the previous resident image (if any) so its
+        # stale slot numbering can never be flushed again.
+        stale_image = getattr(self, "_pool_image", None)
+        if stale_image is not None:
+            stale_image.close()
         if n_hint < 2:
             n_hint = 2
         if delta <= 0:
@@ -286,7 +292,6 @@ class PLDS(QueryView):
         #: K — total number of levels.
         self.num_levels = self.levels_per_group * self.num_groups
 
-        self._vertices: dict[int, _VertexRecord] = {}
         self._m = 0
         #: vertex insert/delete counter for the Section-5.9 rebuild policy.
         self._vertex_updates = 0
@@ -294,6 +299,33 @@ class PLDS(QueryView):
         self._orient: dict[tuple[int, int], DirectedEdge] = {}
         #: edges whose endpoints' relative order may have changed this batch.
         self._touched: set[tuple[int, int]] = set()
+
+        #: id -> slot.  Slots are dense in [0, _n) and stable between
+        #: vertex deletions (which compact by swapping the last slot in).
+        self._slot_of: dict[int, int] = {}
+        #: slot -> id.
+        self._vid: list[int] = []
+        self._n = 0
+        #: slot -> level; the dense vector every hot loop reads.
+        self._lv: list[int] = []
+        #: slot -> degree, maintained on every edge insertion/deletion
+        #: (level moves never change it), so ``degree()`` is O(1).
+        self._deg: list[int] = []
+        #: slot -> set of neighbor slots at levels >= the slot's level.
+        self._up: list[set[int]] = []
+        #: slot -> {lower level -> set of neighbor slots there}.
+        self._down: list[dict[int, set[int]]] = []
+        # -- resident-image dirty protocol (repro.parallel.pool) -------
+        #: whether the tracker pool-dispatches (gates dirty noting).
+        self._pool_track = bool(getattr(self.tracker, "pool_tasks", False))
+        #: the ResidentImage shipping this engine's state, if any.
+        self._pool_image: Any = None
+        #: slot numbering changed (vertex insert/compact): full rebuild.
+        self._pool_renumber = True
+        #: edges changed but numbering held: CSR rewrite, level deltas.
+        self._pool_adj_dirty = True
+        #: slots whose level changed since the last flush.
+        self._pool_dirty_slots: list[int] = []
 
         # Per-mutation depth charge of the selected structure variant
         # (Section 5.8): hash tables O(log* n); dynamic arrays pay an
@@ -349,45 +381,190 @@ class PLDS(QueryView):
         return self._inv2_thresh[level]
 
     # ------------------------------------------------------------------
+    # Slot management
+    # ------------------------------------------------------------------
+
+    def _slot(self, v: int) -> int:
+        """``v``'s slot, creating the vertex at level 0 if absent."""
+        i = self._slot_of.get(v)
+        if i is None:
+            i = self._n
+            self._n = i + 1
+            self._pool_renumber = True
+            self._slot_of[v] = i
+            self._vid.append(v)
+            self._lv.append(0)
+            self._deg.append(0)
+            self._up.append(set())
+            self._down.append({})
+        return i
+
+    def _has_vertex(self, v: int) -> bool:
+        return v in self._slot_of
+
+    def _restore_level(self, v: int, level: int) -> None:
+        """Create ``v`` at ``level`` (snapshot restore; no rebalancing)."""
+        self._lv[self._slot(v)] = level
+
+    def _local_slots(self) -> Iterable[int]:
+        """The slots whose vertices this structure answers for (all of
+        them; a shard kernel leaves out its ghost replicas)."""
+        return range(self._n)
+
+    def _local_levels(self) -> list[int]:
+        lv = self._lv
+        return [lv[i] for i in self._local_slots()]
+
+    def _drop_vertex(self, v: int) -> bool:
+        """Remove an (isolated) vertex; True if it existed."""
+        i = self._slot_of.pop(v, None)
+        if i is None:
+            return False
+        self._pool_renumber = True
+        last = self._n - 1
+        lv = self._lv
+        if i != last:
+            # Compact: move the last slot's state into i and rewrite the
+            # moved vertex's slot number in its neighbors' structures.
+            w = self._vid[last]
+            lw = lv[last]
+            self._slot_of[w] = i
+            self._vid[i] = w
+            lv[i] = lw
+            self._deg[i] = self._deg[last]
+            up_w = self._up[last]
+            down_w = self._down[last]
+            self._up[i] = up_w
+            self._down[i] = down_w
+            for j in up_w:
+                self._rename_in(j, lw, last, i)
+            for bucket in down_w.values():
+                for j in bucket:
+                    self._rename_in(j, lw, last, i)
+        self._vid.pop()
+        self._lv.pop()
+        self._deg.pop()
+        self._up.pop()
+        self._down.pop()
+        self._n = last
+        return True
+
+    def _rename_in(self, j: int, level_of_moved: int, old: int, new: int) -> None:
+        """Replace slot ``old`` by ``new`` inside neighbor ``j``'s sets."""
+        if level_of_moved >= self._lv[j]:
+            up_j = self._up[j]
+            if old in up_j:
+                up_j.discard(old)
+                up_j.add(new)
+                return
+        bucket = self._down[j].get(level_of_moved)
+        if bucket is not None and old in bucket:
+            bucket.discard(old)
+            bucket.add(new)
+
+    def _level_bytes(self) -> bytes:
+        """Contiguous int32 image of the level vector.
+
+        This is the zero-copy IPC format: the pool backend memcpys it
+        into a shared segment once per dispatch and workers read levels
+        straight out of the mapped buffer.
+        """
+        return array("i", self._lv).tobytes()
+
+    # ------------------------------------------------------------------
+    # Resident-image encoders (repro.parallel.pool.ResidentImage)
+    # ------------------------------------------------------------------
+
+    def pool_csr(self) -> tuple[array, array]:
+        """CSR-style slot adjacency: ``(offsets, neighbor slots)``.
+
+        Row ``i`` lists slot ``i``'s full neighbor multiset (up-set then
+        down buckets — workers recover the split from levels alone), so
+        the image survives level moves untouched and is rebuilt only
+        when edges or slot numbering change.
+        """
+        n = self._n
+        offsets = array("i", bytes(4 * (n + 1)))
+        nbrs: list[int] = []
+        extend = nbrs.extend
+        ups = self._up
+        downs = self._down
+        for i in range(n):
+            extend(ups[i])
+            for bucket in downs[i].values():
+                extend(bucket)
+            offsets[i + 1] = len(nbrs)
+        return offsets, array("i", nbrs)
+
+    def pool_levels_array(self) -> array:
+        return array("i", self._lv)
+
+    def pool_levels_range(self, lo: int, hi: int) -> array:
+        return array("i", self._lv[lo:hi])
+
+    def _pool_note_ids(self, ids: Iterable[int]) -> None:
+        """Record that these vertices' levels (may have) changed since
+        the last image flush.  Over-approximation is safe — flushed
+        bytes are read fresh — and the list is capped: a degenerate
+        backlog (e.g. the no-shared-memory fallback never flushing)
+        collapses into a full-image rebuild instead of unbounded
+        growth."""
+        if self._pool_renumber:
+            return
+        dirty = self._pool_dirty_slots
+        slot_of = self._slot_of
+        dirty.extend(slot_of[v] for v in ids)
+        if len(dirty) > 1024 and len(dirty) > 4 * self._n:
+            self._pool_renumber = True
+            del dirty[:]
+
+    # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
 
     def level(self, v: int) -> int:
         """Current level ``ℓ(v)`` (0 for unknown/isolated vertices)."""
-        rec = self._vertices.get(v)
-        return rec.level if rec is not None else 0
+        i = self._slot_of.get(v)
+        return self._lv[i] if i is not None else 0
 
     def up_degree(self, v: int) -> int:
         """``up(v)``: number of neighbors at levels >= ``ℓ(v)``."""
-        rec = self._vertices.get(v)
-        return len(rec.up) if rec is not None else 0
+        i = self._slot_of.get(v)
+        return len(self._up[i]) if i is not None else 0
 
     def up_star_degree(self, v: int) -> int:
         """``up*(v)``: number of neighbors at levels >= ``ℓ(v) - 1``."""
-        rec = self._vertices.get(v)
-        if rec is None:
+        i = self._slot_of.get(v)
+        if i is None:
             return 0
-        below = rec.down.get(rec.level - 1)
-        return len(rec.up) + (len(below) if below else 0)
+        below = self._down[i].get(self._lv[i] - 1)
+        return len(self._up[i]) + (len(below) if below else 0)
 
     def degree(self, v: int) -> int:
-        rec = self._vertices.get(v)
-        return rec.deg if rec is not None else 0
+        i = self._slot_of.get(v)
+        return self._deg[i] if i is not None else 0
 
     def neighbors(self, v: int) -> list[int]:
-        # Sorted: the underlying record sets iterate in address order,
-        # which is not reproducible across runs.
-        rec = self._vertices.get(v)
-        return sorted(rec.neighbors()) if rec is not None else []
+        i = self._slot_of.get(v)
+        if i is None:
+            return []
+        vid = self._vid
+        out = [vid[j] for j in self._up[i]]
+        for bucket in self._down[i].values():
+            out.extend(vid[j] for j in bucket)
+        out.sort()
+        return out
 
     def has_edge(self, u: int, v: int) -> bool:
-        ru = self._vertices.get(u)
-        rv = self._vertices.get(v)
-        if ru is None or rv is None:
+        slot_of = self._slot_of
+        i = slot_of.get(u)
+        j = slot_of.get(v)
+        if i is None or j is None:
             return False
-        if rv.level >= ru.level:
-            return rv in ru.up
-        return rv in ru.down.get(rv.level, ())
+        lv = self._lv
+        if lv[j] >= lv[i]:
+            return j in self._up[i]
+        return j in self._down[i].get(lv[j], ())
 
     @property
     def num_edges(self) -> int:
@@ -395,17 +572,25 @@ class PLDS(QueryView):
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertices)
+        return self._n
 
     def vertices(self) -> Iterator[int]:
-        return iter(self._vertices)
+        return iter(self._vid)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges in canonical form."""
-        for v, rec in self._vertices.items():
-            for w in rec.neighbors():
+        vid = self._vid
+        for i in self._local_slots():
+            v = vid[i]
+            for j in self._up[i]:
+                w = vid[j]
                 if v < w:
                     yield (v, w)
+            for bucket in self._down[i].values():
+                for j in bucket:
+                    w = vid[j]
+                    if v < w:
+                        yield (v, w)
 
     # ------------------------------------------------------------------
     # Coreness estimation (Definition 5.11)
@@ -415,12 +600,15 @@ class PLDS(QueryView):
     # :class:`~repro.core.query.QueryView` over the two hooks below.
 
     def _level_items(self) -> Iterator[tuple[int, int, int]]:
-        for v, rec in self._vertices.items():
-            yield v, rec.level, rec.deg
+        lv = self._lv
+        deg = self._deg
+        vid = self._vid
+        for i in self._local_slots():
+            yield vid[i], lv[i], deg[i]
 
     def _level_deg_of(self, v: int) -> tuple[int, int] | None:
-        rec = self._vertices.get(v)
-        return (rec.level, rec.deg) if rec is not None else None
+        i = self._slot_of.get(v)
+        return (self._lv[i], self._deg[i]) if i is not None else None
 
     def approximation_factor(self) -> float:
         """The provable max error ratio ``(2+3/λ)(1+δ)`` (Lemma 5.13).
@@ -444,44 +632,48 @@ class PLDS(QueryView):
 
     def out_neighbors(self, v: int) -> list[int]:
         """Neighbors w with edge oriented v -> w; all live in ``U[v]``."""
-        rec = self._vertices.get(v)
-        if rec is None:
+        i = self._slot_of.get(v)
+        if i is None:
             return []
-        lv = rec.level
+        lv = self._lv
+        vid = self._vid
+        li = lv[i]
         out = []
-        for wrec in rec.up:
-            lw = wrec.level
-            if lw > lv or (lw == lv and v < wrec.id):
-                out.append(wrec.id)
+        for j in self._up[i]:
+            lw = lv[j]
+            if lw > li or (lw == li and v < vid[j]):
+                out.append(vid[j])
         out.sort()
         return out
 
     def out_degree(self, v: int) -> int:
-        # Counts in place — the materialized list out_neighbors() builds
-        # is pure overhead when only the count is needed.
-        rec = self._vertices.get(v)
-        if rec is None:
+        i = self._slot_of.get(v)
+        if i is None:
             return 0
-        lv = rec.level
+        lv = self._lv
+        vid = self._vid
+        li = lv[i]
         count = 0
-        for wrec in rec.up:
-            lw = wrec.level
-            if lw > lv or (lw == lv and v < wrec.id):
+        for j in self._up[i]:
+            lw = lv[j]
+            if lw > li or (lw == li and v < vid[j]):
                 count += 1
         return count
 
     def in_neighbors(self, v: int) -> list[int]:
         """Neighbors w with edge oriented w -> v."""
-        rec = self._vertices.get(v)
-        if rec is None:
+        i = self._slot_of.get(v)
+        if i is None:
             return []
-        lv = rec.level
+        lv = self._lv
+        vid = self._vid
+        li = lv[i]
         # Every down-neighbor sits strictly below v (edge points up into
         # v); an up-neighbor points into v only from the same level with
         # the smaller id.
-        inn = [wrec.id for wrec in rec.up if wrec.level == lv and wrec.id < v]
-        for s in rec.down.values():
-            inn.extend(wrec.id for wrec in s)
+        inn = [vid[j] for j in self._up[i] if lv[j] == li and vid[j] < v]
+        for bucket in self._down[i].values():
+            inn.extend(vid[j] for j in bucket)
         inn.sort()
         return inn
 
@@ -499,7 +691,7 @@ class PLDS(QueryView):
         for v in vs:
             if not self._has_vertex(v):
                 count += 1
-            self._record(v)
+            self._slot(v)
         self._vertex_updates += count
         self._maybe_rebuild()
         self._levels_reshaped = True
@@ -604,8 +796,16 @@ class PLDS(QueryView):
         return self.update(Batch(deletions=[canonical_edge(*e) for e in edges]))
 
     def _validate_batch(self, batch: Batch) -> None:
-        """Check the Section-8 batch assumptions before mutating anything."""
+        """Check the Section-8 batch assumptions before mutating anything.
+
+        Charges ``(max(1,|batch|), 5)``; the per-edge presence probes run
+        on hoisted slot structures instead of bound ``has_edge`` calls.
+        """
         self.tracker.add(work=max(1, len(batch)), depth=5)
+        slot_get = self._slot_of.get
+        lv = self._lv
+        ups = self._up
+        downs = self._down
         ins = set()
         for u, v in batch.insertions:
             if u == v:
@@ -613,8 +813,16 @@ class PLDS(QueryView):
             e = canonical_edge(u, v)
             if e in ins:
                 raise ValueError(f"duplicate insertion {e} in batch")
-            if self.has_edge(*e):
-                raise ValueError(f"insertion of existing edge {e}")
+            i = slot_get(e[0])
+            j = slot_get(e[1])
+            if i is not None and j is not None:
+                present = (
+                    j in ups[i]
+                    if lv[j] >= lv[i]
+                    else j in downs[i].get(lv[j], ())
+                )
+                if present:
+                    raise ValueError(f"insertion of existing edge {e}")
             ins.add(e)
         dels = set()
         for u, v in batch.deletions:
@@ -623,7 +831,16 @@ class PLDS(QueryView):
                 raise ValueError(f"duplicate deletion {e} in batch")
             if e in ins:
                 raise ValueError(f"edge {e} both inserted and deleted in batch")
-            if not self.has_edge(*e):
+            i = slot_get(e[0])
+            j = slot_get(e[1])
+            present = False
+            if i is not None and j is not None:
+                present = (
+                    j in ups[i]
+                    if lv[j] >= lv[i]
+                    else j in downs[i].get(lv[j], ())
+                )
+            if not present:
                 raise ValueError(f"deletion of missing edge {e}")
             dels.add(e)
 
@@ -635,28 +852,59 @@ class PLDS(QueryView):
         self, insertions: list[tuple[int, int]], moved: set[int]
     ) -> None:
         tracker = self.tracker
-        vertices = self._vertices
-        # Insert all edges into the structures (parallel hash inserts).
-        # Dirty buckets are sorted-unique id lists (see :func:`_mark`), so
-        # each round's movers come out in canonical order for free.
+        slot_of = self._slot_of
+        lv = self._lv
         dirty: dict[int, list[int]] = {}
         tracker.add(work=2 * len(insertions), depth=self._mut_depth)
+        # Levels are static while edges link in, so the dirty buckets
+        # can be seeded in bulk: collect endpoints per level, then one
+        # sorted-unique build per level (vs two bisect-insorts per edge).
+        seed: dict[int, list[int]] = {}
         for u, v in insertions:
-            for r in self._insert_edge_struct(u, v):
-                _mark(dirty, r.level, r.id)
+            i, j = self._insert_edge_struct(u, v)
+            lst = seed.get(lv[i])
+            if lst is None:
+                seed[lv[i]] = [u]
+            else:
+                lst.append(u)
+            lst = seed.get(lv[j])
+            if lst is None:
+                seed[lv[j]] = [v]
+            else:
+                lst.append(v)
+        for level, seeded in seed.items():
+            dirty[level] = sorted(set(seeded))
+        vid = self._vid
+        ups = self._up
+        downs = self._down
 
         bounds = self._inv1_bound_int
         jump = self.insertion_strategy == "jump"
 
+        #: (level, id) marks buffered during a rise round; merged into
+        #: ``dirty`` after the round's flat_parfor (levels of marked
+        #: vertices are static within a round, so deferring is exact).
+        rise_marks: list[tuple[int, int]] = []
+        rise_marks_append = rise_marks.append
+
         def rise(v: int) -> None:
             # Jump strategy only; the levelwise path is inlined below.
-            rec = vertices[v]
-            newly_marked = self._move_up_to(rec, self._up_desire_level(rec))
+            i = slot_of[v]
+            newly_marked = self._move_up_to_slot(i, self._up_desire_slot(i))
             moved.add(v)
-            if len(rec.up) > bounds[rec.level]:
-                newly_marked.append(rec)
-            for wrec in newly_marked:
-                _mark(dirty, wrec.level, wrec.id)
+            if len(ups[i]) > bounds[lv[i]]:
+                newly_marked.append(i)
+            for j in newly_marked:
+                rise_marks_append((lv[j], vid[j]))
+
+        pool_track = self._pool_track
+        if jump and pool_track:
+            # A pool-capable backend ships this desire scan to worker
+            # processes over the resident image; the inline body is the
+            # fallback and the semantics/charge reference.
+            from ..parallel.pool import attach_rise_task
+
+            attach_rise_task(self, rise, moved, rise_marks)
 
         track = self.track_orientation
         touched = self._touched
@@ -691,8 +939,7 @@ class PLDS(QueryView):
                 movers = [
                     v
                     for v in candidates
-                    if (rec := vertices[v]).level == level
-                    and len(rec.up) > bound
+                    if lv[(i := slot_of[v])] == level and len(ups[i]) > bound
                 ]
                 if not movers:
                     if span is not None:
@@ -703,12 +950,16 @@ class PLDS(QueryView):
                 if __debug__:
                     assert _is_sorted_unique(movers)
                 tracker.flat_parfor(movers, rise)
+                if pool_track:
+                    self._pool_note_ids(movers)
+                if rise_marks:
+                    _merge_marks(dirty, rise_marks)
                 if span is not None:
                     span.attrs["movers"] = len(movers)
                     tracer.end(span)
                 continue
-            # Levelwise fast path: :meth:`_move_up` inlined with aggregate
-            # charging.  Each rise would charge (|U[v]| or 1, mut_depth)
+            # Levelwise fast path: the one-level move inlined with
+            # aggregate charging.  Each rise would charge (|U[v]|, mut_depth)
             # into its own flat_parfor branch; the fold into the enclosing
             # frame is (sum of the works, mut_depth), charged once below.
             # All movers rise exactly one level, and every vertex they
@@ -736,264 +987,212 @@ class PLDS(QueryView):
             # once (bound-crossing add, or its own move) in every order.
             if track:
                 for v in candidates:
-                    rec = vertices[v]
-                    if rec.level != level:
+                    i = slot_of[v]
+                    if lv[i] != level:
                         continue
-                    up = rec.up
-                    if len(up) <= bound:
+                    up_i = ups[i]
+                    if len(up_i) <= bound:
                         continue
                     moved_add(v)
-                    total_work += len(up)
+                    total_work += len(up_i)
                     stay = None
-                    for wrec in up:
-                        lw = wrec.level
+                    for j in up_i:
+                        lw = lv[j]
                         if lw == level:
                             # w stays below v; v remains in U[w].
                             if stay is None:
-                                stay = [wrec]
+                                stay = [j]
                             else:
-                                stay.append(wrec)
-                            w = wrec.id
+                                stay.append(j)
+                            w = vid[j]
                             touched.add((v, w) if v <= w else (w, v))
                         else:
-                            wdown = wrec.down
-                            bucket = wdown[level]
-                            bucket.discard(rec)
+                            jdown = downs[j]
+                            bucket = jdown[level]
+                            bucket.discard(i)
                             if not bucket:
-                                del wdown[level]
+                                del jdown[level]
                             if lw == target:
-                                wup = wrec.up
-                                wup.add(rec)
-                                if len(wup) == crossing:
-                                    marked_append(wrec.id)
-                                w = wrec.id
+                                jup = ups[j]
+                                jup.add(i)
+                                if len(jup) == crossing:
+                                    marked_append(vid[j])
+                                w = vid[j]
                                 touched.add((v, w) if v <= w else (w, v))
-                            else:  # lw > target: w's L-structure shifts.
-                                slot = wdown.get(target)
+                            else:  # lw > target: j's L-structure shifts.
+                                slot = jdown.get(target)
                                 if slot is None:
-                                    wdown[target] = {rec}
+                                    jdown[target] = {i}
                                 else:
-                                    slot.add(rec)
+                                    slot.add(i)
                     if stay is not None:
-                        up.difference_update(stay)
-                        slot = rec.down.get(level)
+                        up_i.difference_update(stay)
+                        down = downs[i]
+                        slot = down.get(level)
                         if slot is None:
-                            rec.down[level] = set(stay)
+                            down[level] = set(stay)
                         else:
                             slot.update(stay)
                     if undo_levels is not None:
-                        undo_levels.setdefault(v, level)
-                    rec.level = target
-                    if len(up) > bound_t:
+                        undo_levels.setdefault(i, level)
+                    lv[i] = target
+                    if len(up_i) > bound_t:
                         marked_append(v)
             else:
                 # Same loop, minus orientation bookkeeping (the default).
                 for v in candidates:
-                    rec = vertices[v]
-                    if rec.level != level:
+                    i = slot_of[v]
+                    if lv[i] != level:
                         continue
-                    up = rec.up
-                    if len(up) <= bound:
+                    up_i = ups[i]
+                    if len(up_i) <= bound:
                         continue
                     moved_add(v)
-                    total_work += len(up)
+                    total_work += len(up_i)
                     stay = None
-                    for wrec in up:
-                        lw = wrec.level
+                    for j in up_i:
+                        lw = lv[j]
                         if lw == level:
                             # w stays below v; v remains in U[w].
                             if stay is None:
-                                stay = [wrec]
+                                stay = [j]
                             else:
-                                stay.append(wrec)
+                                stay.append(j)
                         else:
-                            wdown = wrec.down
-                            bucket = wdown[level]
-                            bucket.discard(rec)
+                            jdown = downs[j]
+                            bucket = jdown[level]
+                            bucket.discard(i)
                             if not bucket:
-                                del wdown[level]
+                                del jdown[level]
                             if lw == target:
-                                wup = wrec.up
-                                wup.add(rec)
-                                if len(wup) == crossing:
-                                    marked_append(wrec.id)
-                            else:  # lw > target: w's L-structure shifts.
-                                slot = wdown.get(target)
+                                jup = ups[j]
+                                jup.add(i)
+                                if len(jup) == crossing:
+                                    marked_append(vid[j])
+                            else:  # lw > target: j's L-structure shifts.
+                                slot = jdown.get(target)
                                 if slot is None:
-                                    wdown[target] = {rec}
+                                    jdown[target] = {i}
                                 else:
-                                    slot.add(rec)
+                                    slot.add(i)
                     if stay is not None:
-                        up.difference_update(stay)
-                        slot = rec.down.get(level)
+                        up_i.difference_update(stay)
+                        down = downs[i]
+                        slot = down.get(level)
                         if slot is None:
-                            rec.down[level] = set(stay)
+                            down[level] = set(stay)
                         else:
                             slot.update(stay)
                     if undo_levels is not None:
-                        undo_levels.setdefault(v, level)
-                    rec.level = target
-                    if len(up) > bound_t:
+                        undo_levels.setdefault(i, level)
+                    lv[i] = target
+                    if len(up_i) > bound_t:
                         marked_append(v)
             if not total_work:
                 if span is not None:
                     tracer.end(span)
                 continue  # no mover survived the filter at this level
             tracker.add(total_work, mut_depth)
+            if pool_track:
+                # Candidates over-approximate the movers; flushed bytes
+                # are read fresh, so the slack is only a few range
+                # bytes.
+                self._pool_note_ids(candidates)
             if marked_next:
-                # Within a level iteration every vertex is marked at most
-                # once (see the order-invariance note above), so one sort
-                # yields the bucket's canonical sorted-unique form.
                 bucket = dirty.get(target)
                 if bucket is None:
+                    # Within a level iteration every vertex is marked at
+                    # most once (see the order-invariance note above), so
+                    # one sort yields the bucket's sorted-unique form.
                     marked_next.sort()
                     dirty[target] = marked_next
                 else:
-                    for w in marked_next:
-                        _mark(dirty, target, w)
+                    # Same contents a per-item _mark loop yields: the
+                    # insort path dedupes against the bucket and itself.
+                    dirty[target] = sorted(set(marked_next).union(bucket))
             if span is not None:
                 tracer.end(span)
 
-    def _move_up(self, rec: "_VertexRecord") -> list["_VertexRecord"]:
-        """Move ``rec``'s vertex one level up (Algorithm 2's unit step).
-
-        Specialized single-level version of :meth:`_move_up_to` — the
-        dominant operation of levelwise insertion rebalancing.  With
-        ``target = old + 1`` an up-neighbor is either at exactly ``old``
-        (it stays below v; handled in bulk with C-level set operations),
-        at ``old + 1`` (v rises into its U-set), or higher (its L-slot
-        for v slides up one level).  Unlike :meth:`_move_up_to`, the
-        returned violation list (of records) includes ``v``'s own record
-        when v still violates Invariant 1 at the new level, so callers
-        skip the re-check.  Takes the record (not the id) so shard
-        kernels can apply the same step to ghost replicas that live
-        outside ``_vertices``.  Cost: O(|U[v]|) work, O(log* n) depth —
-        identical charges to the generic path.
-        """
-        v = rec.id
-        old = rec.level
-        target = old + 1
-        up = rec.up
-        self.tracker.add(len(up) or 1, self._mut_depth)
-        track = self.track_orientation
-        touched = self._touched
-        bounds = self._inv1_bound_int
-
-        stay: list[_VertexRecord] = []
-        newly_marked: list[_VertexRecord] = []
-        for wrec in up:
-            lw = wrec.level
-            if lw == old:
-                # w stays below v; v remains in U[w].
-                stay.append(wrec)
-                if track:
-                    w = wrec.id
-                    touched.add((v, w) if v <= w else (w, v))
-            else:
-                wdown = wrec.down
-                bucket = wdown[old]
-                bucket.discard(rec)
-                if not bucket:
-                    del wdown[old]
-                if lw == target:
-                    wup = wrec.up
-                    wup.add(rec)
-                    if len(wup) > bounds[target]:
-                        newly_marked.append(wrec)
-                    if track:
-                        w = wrec.id
-                        touched.add((v, w) if v <= w else (w, v))
-                else:  # lw > target: only w's L-structure shifts.
-                    slot = wdown.get(target)
-                    if slot is None:
-                        wdown[target] = {rec}
-                    else:
-                        slot.add(rec)
-        if stay:
-            up.difference_update(stay)
-            slot = rec.down.get(old)
-            if slot is None:
-                rec.down[old] = set(stay)
-            else:
-                slot.update(stay)
-        undo = self._undo
-        if undo is not None:
-            undo.levels.setdefault(v, old)
-        rec.level = target
-        if len(up) > bounds[target]:
-            newly_marked.append(rec)
-        return newly_marked
-
-    def _move_up_to(
-        self, rec: "_VertexRecord", target: int
-    ) -> list["_VertexRecord"]:
-        """Move ``rec`` up to ``target``, updating all affected structures.
+    def _move_up_to_slot(self, i: int, target: int) -> list[int]:
+        """Move slot ``i`` up to ``target``, updating all affected structures.
 
         ``target == old + 1`` is the theoretical Algorithm 2 step; larger
-        jumps implement the Section-6.1 optimization.  Returns the records
+        jumps implement the Section-6.1 optimization.  Returns the slots
         of neighbors whose up-degree grew and now violate Invariant 1 (to
-        be marked).  Record-based so shard kernels can move ghost
-        replicas.  Cost: O(|U[v]|) work, O(log* n) depth.
+        be marked).  Cost: O(|U[v]|) work, O(log* n) depth.
         """
-        v = rec.id
-        old = rec.level
+        self.tracker.add(work=max(1, len(self._up[i])), depth=self._mut_depth)
+        return self._move_up_raw(i, target)
+
+    def _move_up_raw(self, i: int, target: int) -> list[int]:
+        """The move itself, uncharged — the pool backend's rise task
+        folds the charge from its dispatch totals instead."""
+        lv = self._lv
+        old = lv[i]
         if target <= old:
             raise AssertionError("move_up_to requires a strictly higher level")
-        self.tracker.add(work=max(1, len(rec.up)), depth=self._mut_depth)
+        ups = self._up
+        downs = self._down
+        up_i = ups[i]
         track = self.track_orientation
         touched = self._touched
+        vid = self._vid
+        v = vid[i]
         bounds = self._inv1_bound_int
 
-        to_down: list[tuple[_VertexRecord, int]] = []
-        newly_marked: list[_VertexRecord] = []
-        for wrec in rec.up:
-            lw = wrec.level
+        to_down: list[tuple[int, int]] = []
+        newly_marked: list[int] = []
+        for j in up_i:
+            lw = lv[j]
             if lw == old:
                 # w stays below v; v remains in U[w].
-                to_down.append((wrec, lw))
+                to_down.append((j, lw))
                 if track:
-                    w = wrec.id
+                    w = vid[j]
                     touched.add((v, w) if v <= w else (w, v))
             elif lw <= target:
-                # old < lw <= target: v rises into U[w].
-                bucket = wrec.down[old]
-                bucket.discard(rec)
+                # old < lw <= target: v rises into U[j].
+                jdown = downs[j]
+                bucket = jdown[old]
+                bucket.discard(i)
                 if not bucket:
-                    del wrec.down[old]
-                wrec.up.add(rec)
-                if len(wrec.up) > bounds[lw]:
-                    newly_marked.append(wrec)
+                    del jdown[old]
+                jup = ups[j]
+                jup.add(i)
+                if len(jup) > bounds[lw]:
+                    newly_marked.append(j)
                 if lw < target:
-                    # w is now strictly below v.
-                    to_down.append((wrec, lw))
+                    # j is now strictly below v.
+                    to_down.append((j, lw))
                 if track:
-                    w = wrec.id
+                    w = vid[j]
                     touched.add((v, w) if v <= w else (w, v))
-            else:  # lw > target: only w's L-structure shifts.
-                bucket = wrec.down[old]
-                bucket.discard(rec)
+            else:  # lw > target: only j's L-structure shifts.
+                jdown = downs[j]
+                bucket = jdown[old]
+                bucket.discard(i)
                 if not bucket:
-                    del wrec.down[old]
-                slot = wrec.down.get(target)
+                    del jdown[old]
+                slot = jdown.get(target)
                 if slot is None:
-                    wrec.down[target] = {rec}
+                    jdown[target] = {i}
                 else:
-                    slot.add(rec)
-        down = rec.down
-        for wrec, lw in to_down:
-            rec.up.discard(wrec)
+                    slot.add(i)
+        down = downs[i]
+        for j, lw in to_down:
+            up_i.discard(j)
             slot = down.get(lw)
             if slot is None:
-                down[lw] = {wrec}
+                down[lw] = {j}
             else:
-                slot.add(wrec)
+                slot.add(j)
         undo = self._undo
         if undo is not None:
-            undo.levels.setdefault(v, old)
-        rec.level = target
+            undo.levels.setdefault(i, old)
+        lv[i] = target
         return newly_marked
 
-    def _up_desire_level(self, rec: "_VertexRecord") -> int:
+    def _up_desire_slot(self, i: int) -> int:
         """First level above ℓ(v) where Invariant 1 holds (Section 6.1).
 
         ``cnt(j)`` = #neighbors at levels >= j is non-increasing in j
@@ -1002,17 +1201,29 @@ class PLDS(QueryView):
         violated Invariant 1, so ``cnt(j-1) > (2+3/λ)(1+δ)^{gn(j-1)} >=
         (1+δ)^{gn(j-1)}``.
         """
-        old = rec.level
+        target, work = self._up_desire_calc(i)
+        self.tracker.add(work=work, depth=self._levels_depth)
+        return target
+
+    def _up_desire_calc(self, i: int) -> tuple[int, int]:
+        """The desire walk itself, uncharged: ``(target, work)``.
+
+        Shared between the inline charge wrapper above and the pool
+        rise task's conflict re-evaluation, which must reproduce the
+        walk (and its work amount) without double-charging the
+        tracker."""
+        lv = self._lv
+        old = lv[i]
+        up_i = self._up[i]
         # Histogram the up-neighbor levels once, then walk upward dropping
         # the count of neighbors below each candidate level (all up
         # neighbors sit at levels >= old, so only exact-level counts are
-        # ever subtracted) — same scan the sorted version did, without the
-        # O(d log d) sort.
+        # ever subtracted).
         counts: dict[int, int] = {}
-        for wrec in rec.up:
-            lw = wrec.level
+        for j in up_i:
+            lw = lv[j]
             counts[lw] = counts.get(lw, 0) + 1
-        cnt = len(rec.up)
+        cnt = len(up_i)
         bounds = self._inv1_bound_int
         counts_get = counts.get
         j = old
@@ -1023,11 +1234,7 @@ class PLDS(QueryView):
                 cnt -= dropped
             if cnt <= bounds[j]:
                 break
-        self.tracker.add(
-            work=max(1, len(rec.up) + (j - old)),
-            depth=self._levels_depth,
-        )
-        return j
+        return j, max(1, len(up_i) + (j - old))
 
     # ------------------------------------------------------------------
     # Algorithm 3: RebalanceDeletions
@@ -1044,25 +1251,68 @@ class PLDS(QueryView):
             affected.add(u)
             affected.add(v)
 
-        desire: dict[int, int] = {}
+        slot_of = self._slot_of
+        lv = self._lv
+        ups = self._up
+        downs = self._down
+        thresholds = self._inv2_thresh_int
+        #: slot -> desire level, -1 = unset.
+        desire = [-1] * self._n
         # Pending buckets are sorted-unique id lists (see :func:`_mark`).
         pending: dict[int, list[int]] = {}
-        vertices = self._vertices
-        thresholds = self._inv2_thresh_int
+        tracker_add = tracker.add
+        levels_depth = self._levels_depth
+        #: (level, id) marks buffered during a scan/descend round and
+        #: bulk-merged into ``pending`` after the round's flat_parfor —
+        #: nothing reads ``pending`` mid-round, so deferring is exact.
+        mark_buf: list[tuple[int, int]] = []
+        mark_buf_append = mark_buf.append
+
+        def note(w: int, dl: int) -> None:
+            desire[slot_of[w]] = dl
+            mark_buf_append((dl, w))
 
         def consider(w: int) -> None:
-            rec = vertices[w]
-            lvl = rec.level
+            i = slot_of[w]
+            lvl = lv[i]
             if lvl == 0:
                 return
-            below = rec.down.get(lvl - 1)
-            up_star = len(rec.up) + (len(below) if below else 0)
+            down_get = downs[i].get
+            below = down_get(lvl - 1)
+            up_star = len(ups[i]) + (len(below) if below else 0)
             if up_star < thresholds[lvl]:
-                dl = self._calculate_desire_level(rec)
-                desire[w] = dl
-                _mark(pending, dl, w)
+                # _desire_slot inlined, resuming after its first scan
+                # iteration: that iteration accumulates exactly up_star
+                # and can never break (up_star < thresholds[lvl] holds
+                # here), so start at lvl-1 with scanned already 2.  The
+                # (work, depth) charge is identical to _desire_slot's.
+                cnt = up_star
+                scanned = 2
+                best = 0
+                for lprime in range(lvl - 1, 0, -1):
+                    bucket = down_get(lprime - 1)
+                    if bucket:
+                        cnt += len(bucket)
+                    if cnt >= thresholds[lprime]:
+                        best = lprime
+                        scanned += 1
+                        break
+                    scanned += 1
+                tracker_add(scanned, levels_depth)
+                desire[i] = best
+                mark_buf_append((best, w))
 
-        tracker.flat_parfor(sorted(affected), consider)
+        scan_order = sorted(affected)
+        if self._pool_track:
+            # A pool-capable backend ships this read-only scan to worker
+            # processes over the shared level array; the inline body is
+            # the fallback and the semantics/charge reference.
+            from ..parallel.pool import attach_consider_task
+
+            attach_consider_task(self, consider, note)
+        tracker.flat_parfor(scan_order, consider)
+        if mark_buf:
+            _merge_marks(pending, mark_buf)
 
         # Process levels bottom-up; each vertex moves exactly once
         # (Lemma 5.6: once level i is done, no vertex desires <= i).
@@ -1096,7 +1346,7 @@ class PLDS(QueryView):
             movers = [
                 v
                 for v in bucket
-                if desire.get(v) == level and vertices[v].level > level
+                if desire[(i := slot_of[v])] == level and lv[i] > level
             ]
             tracker.add(work=1, depth=1)
             if not movers:
@@ -1105,23 +1355,24 @@ class PLDS(QueryView):
                 continue
 
             def descend(v: int, level: int = level) -> None:
-                rec = vertices[v]
-                fresh = self._calculate_desire_level(rec)
+                i = slot_of[v]
+                fresh = self._desire_slot(i)
                 if fresh != level:
-                    if fresh < rec.level:
-                        desire[v] = fresh
-                        _mark(pending, fresh, v)
+                    if fresh < lv[i]:
+                        desire[i] = fresh
+                        mark_buf_append((fresh, v))
                     else:
-                        desire.pop(v, None)
+                        desire[i] = -1
                     return
-                weakened = self._move_down(rec, level)
+                weakened = self._move_down_slot(i, level)
                 moved.add(v)
-                desire.pop(v, None)
-                for wrec in weakened:
-                    w = wrec.id
-                    if desire.get(w) is not None:
+                desire[i] = -1
+                vid = self._vid
+                for j in weakened:
+                    w = vid[j]
+                    if desire[j] != -1:
                         # stale pending entry is skipped lazily
-                        desire.pop(w, None)
+                        desire[j] = -1
                     consider(w)
 
             # Buckets are sorted-unique, so the filtered mover list is
@@ -1129,83 +1380,88 @@ class PLDS(QueryView):
             if __debug__:
                 assert _is_sorted_unique(movers)
             tracker.flat_parfor(movers, descend)
+            if self._pool_track:
+                self._pool_note_ids(movers)
+            if mark_buf:
+                _merge_marks(pending, mark_buf)
             if span is not None:
                 span.attrs["movers"] = len(movers)
                 tracer.end(span)
 
-    def _move_down(
-        self, rec: "_VertexRecord", new_level: int
-    ) -> list["_VertexRecord"]:
-        """Move ``rec`` down to ``new_level``, updating affected structures.
+    def _move_down_slot(self, i: int, new_level: int) -> list[int]:
+        """Move slot ``i`` down to ``new_level``, updating affected structures.
 
-        Returns the records of neighbors whose ``up*`` decreased
-        (candidates for new Invariant-2 violations).  Record-based (and
-        record-returning) so shard kernels can move ghost replicas and
-        partition the weakened set into local re-checks vs. remote
-        messages.  Cost: O(#neighbors at levels >= new_level) work,
-        O(log* n) depth.
+        Returns the slots of neighbors whose ``up*`` decreased
+        (candidates for new Invariant-2 violations).  Cost: O(#neighbors
+        at levels >= new_level) work, O(log* n) depth.
         """
-        v = rec.id
-        old = rec.level
+        lv = self._lv
+        old = lv[i]
         if new_level >= old:
             raise AssertionError("move_down requires a strictly lower level")
         tracker = self.tracker
         track = self.track_orientation
         touched = self._touched
-        weakened: list[_VertexRecord] = []
-        ops = len(rec.up)
+        ups = self._up
+        downs = self._down
+        vid = self._vid
+        v = vid[i]
+        up_i = ups[i]
+        weakened: list[int] = []
+        ops = len(up_i)
 
         # Neighbors formerly above or at v's old level.
-        for wrec in rec.up:
-            lw = wrec.level
-            wdown = wrec.down
+        for j in up_i:
+            lw = lv[j]
+            jdown = downs[j]
             if lw == old:
-                wrec.up.discard(rec)
+                ups[j].discard(i)
             else:  # lw > old
-                bucket = wdown[old]
-                bucket.discard(rec)
+                bucket = jdown[old]
+                bucket.discard(i)
                 if not bucket:
-                    del wdown[old]
-            slot = wdown.get(new_level)
+                    del jdown[old]
+            slot = jdown.get(new_level)
             if slot is None:
-                wdown[new_level] = {rec}
+                jdown[new_level] = {i}
             else:
-                slot.add(rec)
+                slot.add(i)
             # v left Z_{lw-1} iff new_level < lw - 1 <= old.
             if new_level < lw - 1 <= old:
-                weakened.append(wrec)
+                weakened.append(j)
             if track and lw <= old:
-                w = wrec.id
+                w = vid[j]
                 touched.add((v, w) if v <= w else (w, v))
 
         # Neighbors between new_level and old-1 move from L_v into U[v].
-        rec_up_add = rec.up.add
-        for j in range(new_level, old):
-            bucket = rec.down.pop(j, None)
+        down = downs[i]
+        up_add = up_i.add
+        for lvl in range(new_level, old):
+            bucket = down.pop(lvl, None)
             if not bucket:
                 continue
             ops += len(bucket)
-            for wrec in bucket:
-                rec_up_add(wrec)
-                lw = wrec.level
+            for j in bucket:
+                up_add(j)
+                lw = lv[j]
                 if new_level < lw:
-                    wrec.up.discard(rec)
-                    wdown = wrec.down
-                    slot = wdown.get(new_level)
+                    ups[j].discard(i)
+                    jdown = downs[j]
+                    slot = jdown.get(new_level)
                     if slot is None:
-                        wdown[new_level] = {rec}
+                        jdown[new_level] = {i}
                     else:
-                        slot.add(rec)
+                        slot.add(i)
                     if new_level < lw - 1 <= old:
-                        weakened.append(wrec)
+                        weakened.append(j)
                 if track:
-                    w = wrec.id
+                    w = vid[j]
                     touched.add((v, w) if v <= w else (w, v))
 
         undo = self._undo
         if undo is not None:
-            undo.levels.setdefault(v, old)
-        rec.level = new_level
+            undo.levels.setdefault(i, old)
+        lv[i] = new_level
         tracker.add(work=max(1, ops), depth=self._mut_depth)
         return weakened
 
@@ -1213,7 +1469,7 @@ class PLDS(QueryView):
     # Algorithm 4: CalculateDesireLevel
     # ------------------------------------------------------------------
 
-    def _calculate_desire_level(self, rec: "_VertexRecord") -> int:
+    def _desire_slot(self, i: int) -> int:
         """Closest level <= ℓ(v) satisfying both invariants.
 
         Scans downward accumulating ``cnt(j)`` = #neighbors at levels >= j
@@ -1226,11 +1482,11 @@ class PLDS(QueryView):
         doubling-plus-binary-search; we charge the parallel version's
         O(log K) depth.
         """
-        lvl = rec.level
-        cnt = len(rec.up)
+        lvl = self._lv[i]
+        cnt = len(self._up[i])
         scanned = 1
         best = 0
-        down_get = rec.down.get
+        down_get = self._down[i].get
         thresholds = self._inv2_thresh_int
         for lprime in range(lvl, 0, -1):
             bucket = down_get(lprime - 1)
@@ -1247,92 +1503,104 @@ class PLDS(QueryView):
     # Structure-level edge insertion/deletion
     # ------------------------------------------------------------------
 
-    def _record(self, v: int) -> _VertexRecord:
-        rec = self._vertices.get(v)
-        if rec is None:
-            rec = _VertexRecord(v)
-            self._vertices[v] = rec
-        return rec
-
-    # The three hooks below exist so array-backed subclasses (the flat
-    # engine in :mod:`repro.core.plds_flat`) can reuse the generic
-    # vertex-update / rebuild / snapshot drivers without records.
-
-    def _has_vertex(self, v: int) -> bool:
-        return v in self._vertices
-
-    def _drop_vertex(self, v: int) -> bool:
-        """Remove an (isolated) vertex; True if it existed."""
-        return self._vertices.pop(v, None) is not None
-
-    def _restore_level(self, v: int, level: int) -> None:
-        """Create ``v`` at ``level`` (snapshot restore; no rebalancing)."""
-        self._record(v).level = level
-
-    @staticmethod
-    def _link_records(ru: _VertexRecord, rv: _VertexRecord) -> None:
-        """Wire the edge (ru, rv) into both records' U/L structures.
+    def _link_slots(self, i: int, j: int) -> None:
+        """Wire the edge (i, j) into both slots' U/L structures.
 
         Placement follows the level rule only — no duplicate/self-loop
         checks and no ``_m`` accounting, so shard kernels can link a
-        (local, ghost) record pair under their own edge-count discipline.
+        (local, ghost) pair under their own edge-count discipline.
         """
-        if rv.level >= ru.level:
-            ru.up.add(rv)
+        self._pool_adj_dirty = True
+        lv = self._lv
+        li = lv[i]
+        lj = lv[j]
+        if lj >= li:
+            self._up[i].add(j)
         else:
-            slot = ru.down.get(rv.level)
+            down = self._down[i]
+            slot = down.get(lj)
             if slot is None:
-                ru.down[rv.level] = {rv}
+                down[lj] = {j}
             else:
-                slot.add(rv)
-        if ru.level >= rv.level:
-            rv.up.add(ru)
+                slot.add(j)
+        if li >= lj:
+            self._up[j].add(i)
         else:
-            slot = rv.down.get(ru.level)
+            down = self._down[j]
+            slot = down.get(li)
             if slot is None:
-                rv.down[ru.level] = {ru}
+                down[li] = {i}
             else:
-                slot.add(ru)
-        ru.deg += 1
-        rv.deg += 1
+                slot.add(i)
+        self._deg[i] += 1
+        self._deg[j] += 1
 
-    @staticmethod
-    def _unlink_records(ru: _VertexRecord, rv: _VertexRecord) -> None:
-        """Remove the edge (ru, rv) from both records' U/L structures."""
-        if rv.level >= ru.level:
-            ru.up.discard(rv)
+    def _unlink_slots(self, i: int, j: int) -> None:
+        """Remove the edge (i, j) from both slots' U/L structures."""
+        self._pool_adj_dirty = True
+        lv = self._lv
+        li = lv[i]
+        lj = lv[j]
+        if lj >= li:
+            self._up[i].discard(j)
         else:
-            bucket = ru.down[rv.level]
-            bucket.discard(rv)
+            down = self._down[i]
+            bucket = down[lj]
+            bucket.discard(j)
             if not bucket:
-                del ru.down[rv.level]
-        if ru.level >= rv.level:
-            rv.up.discard(ru)
+                del down[lj]
+        if li >= lj:
+            self._up[j].discard(i)
         else:
-            bucket = rv.down[ru.level]
-            bucket.discard(ru)
+            down = self._down[j]
+            bucket = down[li]
+            bucket.discard(i)
             if not bucket:
-                del rv.down[ru.level]
-        ru.deg -= 1
-        rv.deg -= 1
+                del down[li]
+        self._deg[i] -= 1
+        self._deg[j] -= 1
 
-    def _insert_edge_struct(
-        self, u: int, v: int
-    ) -> tuple[_VertexRecord, _VertexRecord]:
+    def _insert_edge_struct(self, u: int, v: int) -> tuple[int, int]:
         if u == v:
             raise ValueError("self-loops are not allowed")
-        if self.has_edge(u, v):
-            raise ValueError(f"duplicate edge ({u},{v})")
-        ru, rv = self._record(u), self._record(v)
-        self._link_records(ru, rv)
+        # Duplicate check inlined on the slots so the lookups are shared
+        # with the link step.
+        slot_of = self._slot_of
+        i = slot_of.get(u)
+        j = slot_of.get(v)
+        if i is not None and j is not None:
+            lv = self._lv
+            present = (
+                j in self._up[i]
+                if lv[j] >= lv[i]
+                else j in self._down[i].get(lv[j], ())
+            )
+            if present:
+                raise ValueError(f"duplicate edge ({u},{v})")
+        if i is None:
+            i = self._slot(u)
+        if j is None:
+            j = self._slot(v)
+        self._link_slots(i, j)
         self._m += 1
-        return ru, rv
+        return i, j
 
     def _delete_edge_struct(self, u: int, v: int) -> None:
-        if not self.has_edge(u, v):
+        # Presence check inlined on the slots (cf. _insert_edge_struct).
+        slot_of = self._slot_of
+        i = slot_of.get(u)
+        j = slot_of.get(v)
+        present = False
+        if i is not None and j is not None:
+            lv = self._lv
+            present = (
+                j in self._up[i]
+                if lv[j] >= lv[i]
+                else j in self._down[i].get(lv[j], ())
+            )
+        if not present:
             raise ValueError(f"edge ({u},{v}) not present")
-        ru, rv = self._vertices[u], self._vertices[v]
-        self._unlink_records(ru, rv)
+        self._unlink_slots(i, j)
         self._m -= 1
 
     # ------------------------------------------------------------------
@@ -1428,7 +1696,7 @@ class PLDS(QueryView):
             structure=self.structure,
         )
         for v in vertices:  # keep isolated vertices alive at level 0
-            self._record(v)
+            self._slot(v)
         if edges:
             self.update(Batch(insertions=edges))
         # Set AFTER the replay update above, so the outer update() (when
@@ -1505,6 +1773,10 @@ class PLDS(QueryView):
             self._levels_reshaped,
         ) = undo.scalars
         self._touched = set()
+        # Edges, levels and possibly the slot count changed behind the
+        # resident image's back: ship it whole on the next dispatch.
+        self._pool_renumber = True
+        del self._pool_dirty_slots[:]
 
     def _note_orient(self, e: tuple[int, int]) -> None:
         undo = self._undo
@@ -1512,39 +1784,37 @@ class PLDS(QueryView):
             undo.orient[e] = self._orient.get(e)
 
     def _undo_moves(self, levels: dict[int, int]) -> None:
-        """Reset moved vertices (keyed by id) to their logged levels:
-        unlink their edges at the current levels, move, relink."""
-        vertices = self._vertices
-        edges: list[tuple[_VertexRecord, _VertexRecord]] = []
-        for v in levels:
-            rec = vertices[v]
-            for wrec in rec.up:
-                if wrec.id not in levels or v < wrec.id:
-                    edges.append((rec, wrec))
-            for bucket in rec.down.values():
-                for wrec in bucket:
-                    if wrec.id not in levels or v < wrec.id:
-                        edges.append((rec, wrec))
-        for ru, rv in edges:
-            self._unlink_records(ru, rv)
-        for v, level in levels.items():
-            vertices[v].level = level
-        for ru, rv in edges:
-            self._link_records(ru, rv)
-
-    def _undo_level_ids(self, levels: dict[int, int]) -> dict[int, int]:
-        """The undo log's level entries keyed by vertex id."""
-        return levels
+        """Reset moved slots to their logged levels: unlink their edges
+        at the current levels, move, relink."""
+        ups = self._up
+        downs = self._down
+        edges: list[tuple[int, int]] = []
+        for i in levels:
+            for j in ups[i]:
+                if j not in levels or i < j:
+                    edges.append((i, j))
+            for bucket in downs[i].values():
+                for j in bucket:
+                    if j not in levels or i < j:
+                        edges.append((i, j))
+        for i, j in edges:
+            self._unlink_slots(i, j)
+        lv = self._lv
+        for i, level in levels.items():
+            lv[i] = level
+        for i, j in edges:
+            self._link_slots(i, j)
 
     def _vertices_since(self, n: int) -> list[int]:
         """The vertices created after the first ``n``, newest first."""
-        return list(islice(reversed(self._vertices), self.num_vertices - n))
+        return self._vid[n:][::-1]
 
     def _pre_attempt_snapshot(self, undo: _UndoLog) -> dict:
         """:meth:`to_snapshot` of the state before the armed attempt,
         derived from the current state and the log."""
         snap = self.to_snapshot()
-        old = self._undo_level_ids(undo.levels)
+        vid = self._vid
+        old = {vid[i]: level for i, level in undo.levels.items()}
         created = set(self._vertices_since(undo.num_vertices))
         snap["levels"] = [
             [v, old.get(v, level)]
@@ -1596,8 +1866,9 @@ class PLDS(QueryView):
         The levels are restored verbatim (no replay), so estimates,
         orientation, and invariants match the snapshotted instance
         exactly.  Raises ``ValueError`` if the snapshot is internally
-        inconsistent (an edge referencing an unknown vertex, or a level
-        out of range).
+        inconsistent (a vertex listed twice, a level out of range, an
+        edge referencing an unknown vertex, a self-loop or a duplicate
+        edge).
         """
         if snapshot.get("format") != 1:
             raise ValueError("unsupported snapshot format")
@@ -1611,6 +1882,8 @@ class PLDS(QueryView):
         for v, level in snapshot["levels"]:
             if not 0 <= level < self.num_levels:
                 raise ValueError(f"level {level} of vertex {v} out of range")
+            if self._has_vertex(v):
+                raise ValueError(f"vertex {v} listed twice")
             self._restore_level(v, level)
         for u, v in snapshot["edges"]:
             if not self._has_vertex(u) or not self._has_vertex(v):
@@ -1623,15 +1896,15 @@ class PLDS(QueryView):
     def level_histogram(self) -> dict[int, int]:
         """Number of vertices per (non-empty) level."""
         hist: dict[int, int] = {}
-        for rec in self._vertices.values():
-            hist[rec.level] = hist.get(rec.level, 0) + 1
+        for lvl in self._local_levels():
+            hist[lvl] = hist.get(lvl, 0) + 1
         return hist
 
     def group_histogram(self) -> dict[int, int]:
         """Number of vertices per (non-empty) group."""
         hist: dict[int, int] = {}
-        for rec in self._vertices.values():
-            g = self.group_number(rec.level)
+        for lvl in self._local_levels():
+            g = self.group_number(lvl)
             hist[g] = hist.get(g, 0) + 1
         return hist
 
@@ -1641,9 +1914,9 @@ class PLDS(QueryView):
         Useful for monitoring dashboards and debugging; everything here
         is O(n) to compute and side-effect free.
         """
-        levels = [rec.level for rec in self._vertices.values()]
+        levels = self._local_levels()
         return {
-            "num_vertices": float(len(self._vertices)),
+            "num_vertices": float(self.num_vertices),
             "num_edges": float(self._m),
             "num_levels": float(self.num_levels),
             "levels_per_group": float(self.levels_per_group),
@@ -1661,64 +1934,74 @@ class PLDS(QueryView):
         U/L bookkeeping is internally consistent.  Intended for tests.
         """
         problems: list[str] = []
-        for v, rec in self._vertices.items():
-            lvl = rec.level
-            actual_deg = len(rec.up) + sum(len(s) for s in rec.down.values())
-            if rec.deg != actual_deg:
+        lv = self._lv
+        vid = self._vid
+        for i in self._local_slots():
+            v = vid[i]
+            lvl = lv[i]
+            up_i = self._up[i]
+            down_i = self._down[i]
+            actual_deg = len(up_i) + sum(len(s) for s in down_i.values())
+            if self._deg[i] != actual_deg:
                 problems.append(
-                    f"cached degree of v={v} is {rec.deg}, "
+                    f"cached degree of v={v} is {self._deg[i]}, "
                     f"structures hold {actual_deg}"
                 )
-            if len(rec.up) > self.inv1_bound(lvl):
+            if len(up_i) > self.inv1_bound(lvl):
                 problems.append(
-                    f"Invariant 1 violated at v={v}: up={len(rec.up)} > "
+                    f"Invariant 1 violated at v={v}: up={len(up_i)} > "
                     f"{self.inv1_bound(lvl):.2f} (level {lvl})"
                 )
-            if lvl > 0 and rec.degree() > 0:
-                up_star = len(rec.up) + len(rec.down.get(lvl - 1, ()))
+            if lvl > 0 and self._deg[i] > 0:
+                up_star = len(up_i) + len(down_i.get(lvl - 1, ()))
                 if up_star < self.inv2_threshold(lvl):
                     problems.append(
                         f"Invariant 2 violated at v={v}: up*={up_star} < "
                         f"{self.inv2_threshold(lvl):.2f} (level {lvl})"
                     )
-            for wrec in rec.up:
-                if wrec.level < lvl:
-                    problems.append(f"U[{v}] holds {wrec.id} below level {lvl}")
-            for j, bucket in rec.down.items():
-                if j >= lvl:
-                    problems.append(f"L_{v}[{j}] exists at/above level {lvl}")
-                for wrec in bucket:
-                    if wrec.level != j:
+            for j in up_i:
+                if lv[j] < lvl:
+                    problems.append(f"U[{v}] holds {vid[j]} below level {lvl}")
+            for lj, bucket in down_i.items():
+                if lj >= lvl:
+                    problems.append(f"L_{v}[{lj}] exists at/above level {lvl}")
+                for j in bucket:
+                    if lv[j] != lj:
                         problems.append(
-                            f"L_{v}[{j}] holds {wrec.id} at level "
-                            f"{wrec.level}"
+                            f"L_{v}[{lj}] holds {vid[j]} at level {lv[j]}"
                         )
         return problems
 
     def space_bytes(self) -> int:
-        """Rough byte count of the maintained structures (Section 6.8).
+        """Byte count of the maintained structures (Sections 5.8 and 6.8).
 
-        Counts 8 bytes per stored vertex id / level slot / hash entry, the
-        same bookkeeping granularity the paper's space experiments use.
-        The randomized/deterministic variants keep a slot for *every*
-        level below ℓ(v) (the O(n log² n) term); the space-efficient
-        variant (Section 5.8) keeps a linked-list node only for non-empty
-        levels, giving O(n + m).
+        Counts 8 bytes per stored level / neighbor entry, the
+        bookkeeping granularity the paper's space experiments use, over
+        every slot.  The randomized/deterministic variants keep a slot
+        for *every* level below ℓ(v) (the O(n log² n) term); the
+        space-efficient variant keeps a 16-byte linked-list node only
+        for non-empty levels, giving O(n + m).  The orientation table
+        adds 24 bytes per edge when tracked.  See docs/cost_model.md
+        ("Memory model").
         """
+        lv = self._lv
+        ups = self._up
+        downs = self._down
+        linked = self.structure == "space_efficient"
         total = 0
-        for rec in self._vertices.values():
-            total += 8  # level
-            total += 8 * len(rec.up)
-            if self.structure == "space_efficient":
-                total += sum(16 + 8 * len(s) for s in rec.down.values())
+        for i in range(self._n):
+            total += 8 + 8 * len(ups[i])  # level + U[v]
+            if linked:
+                total += sum(16 + 8 * len(s) for s in downs[i].values())
             else:
-                total += 8 * rec.level  # one L_v slot per lower level
-                total += sum(8 * len(s) for s in rec.down.values())
+                total += 8 * lv[i]  # one L_v slot per lower level
+                total += sum(8 * len(s) for s in downs[i].values())
         total += 24 * len(self._orient)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"PLDS(n={self.num_vertices}, m={self._m}, K={self.num_levels}, "
-            f"delta={self.delta}, lam={self.lam}, shrink={self.group_shrink})"
+            f"{type(self).__name__}(n={self._n}, m={self._m}, "
+            f"K={self.num_levels}, delta={self.delta}, lam={self.lam}, "
+            f"shrink={self.group_shrink})"
         )

@@ -4,10 +4,9 @@
 whose ``flat_parfor`` dispatches *pool-capable* bodies to a
 ``ProcessPoolExecutor`` instead of simulating the parallel loop inline.
 A body advertises pool capability by carrying a :class:`PoolTask`
-attribute (see :func:`attach_consider_task`, :func:`attach_rise_task`,
-:func:`attach_shard_consider_task`); bodies without one run through the
-inherited simulated path unchanged, so the backend is a strict superset
-of the simulated one.
+attribute (see :func:`attach_consider_task`, :func:`attach_rise_task`);
+bodies without one run through the inherited simulated path unchanged,
+so the backend is a strict superset of the simulated one.
 
 Shared state travels through ``multiprocessing.shared_memory`` as one
 *resident* graph image per engine (:class:`ResidentImage`): an int32
@@ -30,18 +29,17 @@ into the enclosing frame with exactly the composition the simulated
 ``flat_parfor`` uses, so metered totals are bit-identical between
 backends (gated by ``tests/test_backend.py``).
 
-Three read-only scans are pool-dispatched:
+Two read-only scans are pool-dispatched:
 
 - the deletion-phase desire-level scan (Algorithm 4 over the affected
-  set) of the flat engine (:func:`attach_consider_task`);
+  set, :func:`attach_consider_task`), both in the PLDS and in the shard
+  kernels' post-deletion scan, where the kernel's image covers its
+  ghost slots too;
 - the insertion-phase jump-rise desire scan
   (:func:`attach_rise_task`) — workers evaluate desire levels against
   the snapshot; a conflict-aware ``finish`` step in the main process
   re-evaluates the few movers whose neighborhood already moved this
-  round, keeping the result bit-identical to the sequential cascade;
-- the shard kernels' post-ghost-exchange desire evaluation
-  (:func:`attach_shard_consider_task`), the same Algorithm-4 scan run
-  per shard against the kernel's local+ghost image.
+  round, keeping the result bit-identical to the sequential cascade.
 
 When ``shared_memory`` (or process pools) are unavailable the backend
 falls back to the simulated path with a ``RuntimeWarning`` and an
@@ -87,7 +85,6 @@ __all__ = [
     "merge_worker_tallies",
     "attach_consider_task",
     "attach_rise_task",
-    "attach_shard_consider_task",
     "consider_chunk",
     "rise_chunk",
 ]
@@ -219,7 +216,7 @@ class ResidentImage:
     re-creates a segment under a new name.
 
     :meth:`flush` implements the delta protocol.  The source engine
-    (duck-typed: :class:`~repro.core.plds_flat.PLDSFlat` or
+    (duck-typed: :class:`~repro.core.plds.PLDS` or
     :class:`~repro.shard.kernel.ShardKernel`) exposes:
 
     - ``_pool_renumber`` — slot numbering changed (vertex insertion,
@@ -447,7 +444,7 @@ class PoolBackend(WorkDepthTracker):
     reports fleet-wide totals.
     """
 
-    #: Marker consulted by pool-aware algorithms (e.g. the flat engine's
+    #: Marker consulted by pool-aware algorithms (e.g. the PLDS
     #: deletion rebalance) to decide whether building a PoolTask is
     #: worth the closure allocations.
     pool_tasks = True
@@ -735,34 +732,32 @@ def consider_chunk(
 
 
 def attach_consider_task(
-    plds: Any,
+    engine: Any,
     body: Callable[[int], None],
-    desire: Any,
-    pending: dict[int, list[int]],
+    note: Callable[[int, int], None],
 ) -> None:
     """Attach a :class:`PoolTask` for the consider scan to ``body``.
 
-    ``plds`` is a :class:`~repro.core.plds_flat.PLDSFlat`; ``desire`` is
-    its per-batch desire array and ``pending`` the cascade buckets.  The
-    task delta-flushes the resident image, has workers run
-    :func:`consider_chunk` against the shared CSR, and applies results
-    (desire assignment + pending marks) in canonical order —
-    byte-for-byte the effect of the inline body.
+    ``engine`` is a :class:`~repro.core.plds.PLDS` (or a shard kernel,
+    whose resident image covers its ghost slots too, so a local row
+    references ghost neighbors whose mirrored levels are in the shared
+    vector).  The task delta-flushes the resident image, has workers run
+    :func:`consider_chunk` against the shared CSR, and calls
+    ``note(vertex, desire level)`` for every violating vertex in
+    canonical order — byte-for-byte the effect of the inline body.
     """
-    from ..core.plds import _mark
-
-    slot_of = plds._slot_of
+    slot_of = engine._slot_of
 
     def prepare(items: Sequence[int]) -> tuple[Any, Callable[[], None]]:
-        image = plds.tracker.resident_image(plds)
-        lv_name, adj_name, n, adj_ints = image.flush(plds)
+        image = engine.tracker.resident_image(engine)
+        lv_name, adj_name, n, adj_ints = image.flush(engine)
         ctx = (
             lv_name,
             adj_name,
             n,
             adj_ints,
-            list(plds._inv2_thresh_int),
-            plds._levels_depth,
+            list(engine._inv2_thresh_int),
+            engine._levels_depth,
         )
         return ctx, _noop
 
@@ -770,11 +765,8 @@ def attach_consider_task(
         return slot_of[w]
 
     def apply(w: int, result: tuple[int, int] | None) -> None:
-        if result is None:
-            return
-        dl, _scanned = result
-        desire[slot_of[w]] = dl
-        _mark(pending, dl, w)
+        if result is not None:
+            note(w, result[0])
 
     body.pool_task = PoolTask(  # type: ignore[attr-defined]
         prepare, encode, consider_chunk, apply
@@ -795,7 +787,7 @@ def rise_chunk(
     ``ctx`` is ``(levels segment, adjacency segment, slot count,
     adjacency ints, Invariant-1 integer bounds)``; each payload a mover
     slot.  Per slot the kernel evaluates the upward desire walk of
-    ``PLDSFlat._up_desire_slot`` against the snapshot: the up-set is
+    ``PLDS._up_desire_slot`` against the snapshot: the up-set is
     recovered from levels (neighbors at >= the mover's level), and the
     walk climbs until Invariant 1 holds.  Returns ``(target level,
     desire work)`` per slot.  The charge totals returned here feed only
@@ -900,52 +892,4 @@ def attach_rise_task(
 
     body.pool_task = PoolTask(  # type: ignore[attr-defined]
         prepare, encode, rise_chunk, None, finish=finish
-    )
-
-
-# ----------------------------------------------------------------------
-# The shard-kernel consider task (ghost-exchange desire evaluation)
-# ----------------------------------------------------------------------
-
-
-def attach_shard_consider_task(kernel: Any, body: Callable[[int], None]) -> None:
-    """Attach a :class:`PoolTask` for a shard kernel's post-exchange
-    desire evaluation to ``body``.
-
-    The kernel's resident image covers local *and* ghost records (the
-    CSR row of a local vertex references ghost slots, whose levels are
-    in the shared vector), so :func:`consider_chunk` runs unchanged per
-    shard.  Results apply the kernel's ``_consider`` effect — desire
-    assignment plus pending-bucket insertion — in canonical order.
-    """
-
-    def prepare(items: Sequence[int]) -> tuple[Any, Callable[[], None]]:
-        image = kernel.tracker.resident_image(kernel)
-        lv_name, adj_name, n, adj_ints = image.flush(kernel)
-        ctx = (
-            lv_name,
-            adj_name,
-            n,
-            adj_ints,
-            list(kernel._inv2_thresh_int),
-            kernel._levels_depth,
-        )
-        return ctx, _noop
-
-    def encode(v: int) -> int:
-        return kernel._pool_slot_of[v]
-
-    def apply(v: int, result: tuple[int, int] | None) -> None:
-        if result is None:
-            return
-        dl, _scanned = result
-        kernel._desire[v] = dl
-        bucket = kernel._pending.get(dl)
-        if bucket is None:
-            kernel._pending[dl] = {v}
-        else:
-            bucket.add(v)
-
-    body.pool_task = PoolTask(  # type: ignore[attr-defined]
-        prepare, encode, consider_chunk, apply
     )

@@ -40,7 +40,6 @@ from .baselines.sun import SunApproxDynamic
 from .baselines.zhang import ZhangExactDynamic
 from .core.lds import LDS
 from .core.plds import PLDS
-from .core.plds_flat import PLDSFlat
 from .graphs.streams import Batch
 from .obs import tracing as _tracing
 from .parallel.engine import Cost, WorkDepthTracker
@@ -307,9 +306,9 @@ def make_adapter(
     metered sequential simulation) or ``"pool"`` (a
     :class:`~repro.parallel.pool.PoolBackend` fanning pool-capable scans
     out to ``workers`` processes over a resident shared-memory image).
-    The flat engines dispatch their consider and jump-rise scans;
-    ``plds-sharded`` additionally dispatches each kernel's post-exchange
-    desire evaluation through per-shard child backends.
+    The PLDS keys dispatch their consider and jump-rise scans;
+    ``plds-sharded`` dispatches each kernel's post-deletion desire scan
+    through per-shard child backends.
     """
     if backend not in ("simulated", "pool"):
         raise ValueError("backend must be 'simulated' or 'pool'")
@@ -359,15 +358,12 @@ def _make_tracker(p: Mapping[str, Any]) -> WorkDepthTracker:
     return WorkDepthTracker()
 
 
-def _plds_factory(
-    key: str, group_shrink_from: str | None, flat: bool = False
-) -> AdapterFactory:
+def _plds_factory(key: str, group_shrink_from: str | None) -> AdapterFactory:
     def build(n_hint: int, p: Mapping[str, Any]) -> DynamicKCoreAdapter:
         shrink = 1 if group_shrink_from is None else int(p[group_shrink_from])
-        cls = PLDSFlat if flat else PLDS
         return DynamicKCoreAdapter(
             key,
-            cls(
+            PLDS(
                 n_hint,
                 delta=p["delta"],
                 lam=p["lam"],
@@ -439,14 +435,14 @@ register_algorithm(AlgorithmSpec(
 ))
 register_algorithm(AlgorithmSpec(
     key="pldsflat",
-    summary="flat array-backed PLDS, bit-identical to plds (GBBS layout)",
-    factory=_plds_factory("pldsflat", None, flat=True),
+    summary="alias of plds, kept so CLI use and old artifacts stay valid",
+    factory=_plds_factory("pldsflat", None),
     exact=False, parallel=True, snapshot=True, async_reads=True,
 ))
 register_algorithm(AlgorithmSpec(
     key="pldsflatopt",
-    summary="flat array-backed PLDS with group_shrink=50 (pldsopt twin)",
-    factory=_plds_factory("pldsflatopt", "group_shrink_opt", flat=True),
+    summary="alias of pldsopt, kept so CLI use and old artifacts stay valid",
+    factory=_plds_factory("pldsflatopt", "group_shrink_opt"),
     exact=False, parallel=True, snapshot=True, async_reads=True,
 ))
 register_algorithm(AlgorithmSpec(

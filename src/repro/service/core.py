@@ -386,7 +386,7 @@ class CoreService:
         Forwarded to :func:`repro.registry.make_adapter` (``delta``,
         ``lam``, ...) or to the application factory.  This includes the
         execution backend selection — ``backend="pool", workers=4``
-        serves the flat engines *and* ``plds-sharded`` off the process
+        serves the PLDS keys *and* ``plds-sharded`` off the process
         pool's resident shared-memory image, observationally identical
         to the default simulated backend.
     """

@@ -598,9 +598,7 @@ class Coordinator:
             "shards": [
                 {
                     "shard": s,
-                    "levels": sorted(
-                        [v, rec.level] for v, rec in k._vertices.items()
-                    ),
+                    "levels": sorted([v, k.level(v)] for v in k.vertices()),
                     "edges": sorted(k.edges()),
                 }
                 for s, k in enumerate(engine.kernels)
@@ -614,7 +612,15 @@ class Coordinator:
         """Reconstruct a coordinator from :meth:`to_snapshot` output,
         shard by shard: levels verbatim, each edge re-linked on both
         endpoint owners (ghosts at their owners' snapshotted levels),
-        directory rebuilt — no replay, bit-identical estimates."""
+        directory rebuilt — no replay, bit-identical estimates.
+
+        Raises ``ValueError`` on an inconsistent snapshot, like
+        :meth:`PLDS.from_snapshot <repro.core.plds.PLDS.from_snapshot>`:
+        a vertex listed twice or on the wrong shard, a level out of
+        range, a self-loop, a duplicate edge (in either orientation), or
+        an edge with an unknown endpoint.  An edge stored reversed is
+        canonicalized, so it is counted on its min endpoint's shard.
+        """
         if snapshot.get("format") != 1 or not snapshot.get("sharded"):
             raise ValueError("unsupported sharded snapshot format")
         params = dict(snapshot["params"])
@@ -626,40 +632,40 @@ class Coordinator:
         engine = coord.engine
         owner = engine.partitioner.owner
         levels: dict[int, int] = {}
-        all_edges: list[tuple[int, int]] = []
+        edges: list[tuple[int, int]] = []
+        seen: set[tuple[int, int]] = set()
         for section in snapshot["shards"]:
             s = section["shard"]
+            kernel = engine.kernels[s]
             for v, lvl in section["levels"]:
+                if v in levels:
+                    raise ValueError(f"vertex {v} listed twice")
                 if owner(v) != s:
                     raise ValueError(
                         f"snapshot places {v} on shard {s}, owner is {owner(v)}"
                     )
-                if not 0 <= lvl < engine.kernels[s].num_levels:
+                if not 0 <= lvl < kernel.num_levels:
                     raise ValueError(
                         f"level {lvl} of vertex {v} out of range"
                     )
                 levels[v] = lvl
-                rec = engine.kernels[s]._record(v)
-                rec.level = lvl
-            all_edges.extend(tuple(e) for e in section["edges"])
-        for u, v in all_edges:
+                kernel.add_vertex(v, lvl)
+            for u, v in section["edges"]:
+                if u == v:
+                    raise ValueError(f"self-loop ({u},{v})")
+                e = canonical_edge(u, v)
+                if e in seen:
+                    raise ValueError(f"duplicate edge {e}")
+                seen.add(e)
+                edges.append(e)
+        for u, v in edges:
             if u not in levels or v not in levels:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
-            su, sv = owner(u), owner(v)
-            ghosts: list[int] = []
-            ku = engine.kernels[su]
-            ku._link_records(
-                ku._vertices[u], ku._materialize(v, levels, ghosts)
-            )
-            ku._m += 1  # counted on the min-endpoint owner (u < v)
-            engine.register_ghosts(su, ghosts)
-            if sv != su:
-                ghosts = []
-                kv = engine.kernels[sv]
-                kv._link_records(
-                    kv._materialize(u, levels, ghosts), kv._vertices[v]
+        for s, items in enumerate(engine.route(edges)):
+            if items:
+                engine.register_ghosts(
+                    s, engine.kernels[s].load_edges(items, levels)
                 )
-                engine.register_ghosts(sv, ghosts)
         return coord
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

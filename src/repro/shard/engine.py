@@ -316,7 +316,7 @@ class ShardedEngine(QueryView):
     # ------------------------------------------------------------------
 
     def needs_rebuild(self) -> bool:
-        return sum(len(k._vertices) for k in self.kernels) > self.n_hint
+        return self.num_vertices > self.n_hint
 
     def rebuild(self) -> None:
         """Re-size every kernel to the global ``2 * n`` hint and replay.
@@ -328,7 +328,7 @@ class ShardedEngine(QueryView):
         replay, whatever the shard count.
         """
         edges = sorted(self.edges())
-        verts = sorted(v for k in self.kernels for v in k._vertices)
+        verts = sorted(self.vertices())
         new_hint = max(2, 2 * len(verts))
         self.tracker.add(
             work=max(1, len(edges) + len(verts)),
@@ -349,11 +349,10 @@ class ShardedEngine(QueryView):
         self._ghost_sites = {}
         owner = self.partitioner.owner
         for v in verts:  # keep isolated vertices alive at level 0
-            self.kernels[owner(v)]._record(v)
+            self.kernels[owner(v)].add_vertex(v)
         if edges:
             self.replay_insert(edges)
-        for k in self.kernels:  # replay moves are not batch moves
-            k._moved.clear()
+        self.take_moved()  # replay moves are not batch moves
         # Kernels were recreated: every level was re-derived and the
         # per-shard epoch serials restarted, so the next publication
         # must be from scratch.
@@ -413,18 +412,18 @@ class ShardedEngine(QueryView):
 
     def vertices(self) -> Iterator[int]:
         for k in self.kernels:
-            yield from k._vertices
+            yield from k.vertices()
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.kernels[self.partitioner.owner(u)].has_edge(u, v)
 
     @property
     def num_edges(self) -> int:
-        return sum(k._m for k in self.kernels)
+        return sum(k.num_edges for k in self.kernels)
 
     @property
     def num_vertices(self) -> int:
-        return sum(len(k._vertices) for k in self.kernels)
+        return sum(k.num_vertices for k in self.kernels)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge exactly once (each kernel yields its counted set)."""
@@ -456,8 +455,8 @@ class ShardedEngine(QueryView):
             problems.extend(f"shard {s}: {p}" for p in k.check_invariants())
         for v, sites in sorted(self._ghost_sites.items()):
             ov = owner(v)
-            orec = kernels[ov]._vertices.get(v)
-            if orec is None:
+            home = kernels[ov]
+            if not home.is_local(v):
                 problems.append(f"ghost directory lists unknown vertex {v}")
                 continue
             for t in sorted(sites):
@@ -466,25 +465,25 @@ class ShardedEngine(QueryView):
                         f"directory says {v} is a ghost on its owner shard {t}"
                     )
                     continue
-                g = kernels[t]._ghosts.get(v)
-                if g is None:
+                k = kernels[t]
+                if not k.is_ghost(v):
                     problems.append(
                         f"directory says shard {t} mirrors {v}; it does not"
                     )
-                elif g.level != orec.level:
+                elif k.level(v) != home.level(v):
                     problems.append(
-                        f"ghost of {v} on shard {t} at level {g.level}, "
-                        f"owner holds level {orec.level}"
+                        f"ghost of {v} on shard {t} at level {k.level(v)}, "
+                        f"owner holds level {home.level(v)}"
                     )
         for t, k in enumerate(kernels):
-            for v, g in k._ghosts.items():
+            for v in k.ghosts():
                 if t not in self._ghost_sites.get(v, ()):
                     problems.append(
                         f"shard {t} holds unregistered ghost of {v}"
                     )
                     continue
                 home = kernels[owner(v)]
-                for w in g.neighbors():
+                for w in k.neighbors(v):
                     if not home.has_edge(v, w):
                         problems.append(
                             f"mirror edge ({v},{w}) on shard {t} missing "

@@ -1,14 +1,14 @@
 """Shard-local PLDS cascade kernel with ghost-level replication.
 
-A :class:`ShardKernel` is a :class:`~repro.core.plds.PLDS` that owns the
-full ``_VertexRecord`` of every *local* vertex (the ones its
+A :class:`ShardKernel` is a :class:`~repro.core.plds.PLDS` whose slots
+hold every *local* vertex (the ones its
 :class:`~repro.shard.partition.Partitioner` assigns to it) plus
-read-mostly **ghost** records mirroring the remote endpoints of local
+read-mostly **ghost** slots mirroring the remote endpoints of local
 edges.  The structural invariant the cascade correctness rests on:
 
-    every neighbor of a local vertex has a record on the shard
-    (local or ghost), and a ghost's adjacency is restricted to the
-    shard's local vertices (ghosts are never linked to ghosts).
+    every neighbor of a local vertex has a slot on the shard (local or
+    ghost), and a ghost's adjacency is restricted to the shard's local
+    vertices (ghosts are never linked to ghosts).
 
 Local up-degrees, up*-degrees and desire-level scans are therefore
 *exact* given the current ghost levels; ghost levels lag their owners by
@@ -18,12 +18,11 @@ at most one message round.  The level-message boundary:
   only the shard's own dirty/pending buckets and emit **move events**
   ``(v, old_level, new_level)`` for every local move, instead of
   marking remote neighbors directly (the marking a monolithic PLDS does
-  in-line is skipped for ghost records);
-- :meth:`apply_moves` replays remote events onto the local ghost
-  replicas via the record-based primitives ``_move_up_to`` /
-  ``_move_down`` — whose returned newly-marked / weakened records are
-  all local (ghost adjacency is local-only) and feed the shard's own
-  dirty/pending state.
+  in-line is skipped for ghosts);
+- :meth:`apply_moves` replays remote events onto the local ghost slots
+  via the slot primitives ``_move_up_to_slot`` / ``_move_down_slot`` —
+  whose returned newly-marked / weakened slots are all local (ghost
+  adjacency is local-only) and feed the shard's own dirty/pending state.
 
 The engine's :meth:`~repro.shard.engine.ShardedEngine.cascade_rounds`
 alternates step and apply until global quiescence; the monotone-fixpoint
@@ -33,18 +32,17 @@ for desaturation with move-time revalidation) makes the final levels —
 and hence the coreness estimates — independent of the shard count.
 
 Edge-count discipline: an edge is *held* by both endpoint owners but
-*counted* (``_m``) only by the owner of its min endpoint, so the
-inherited :meth:`PLDS.edges` (which yields ``(v, w)`` for local ``v``
-with ``v < w``) enumerates exactly the shard's counted edges and the
-union over shards is the global edge set, duplicate-free.
+*counted* (``_m``) only by the owner of its min endpoint, so
+:meth:`edges` (which yields ``(v, w)`` for local ``v`` with ``v < w``)
+enumerates exactly the shard's counted edges and the union over shards
+is the global edge set, duplicate-free.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from ..core.plds import PLDS, _VertexRecord
+from ..core.plds import PLDS
 from ..parallel.engine import WorkDepthTracker
 
 __all__ = ["ShardKernel"]
@@ -53,8 +51,16 @@ __all__ = ["ShardKernel"]
 MoveEvent = tuple[int, int, int]
 
 
+def _add(buckets: dict[int, set[int]], level: int, v: int) -> None:
+    bucket = buckets.get(level)
+    if bucket is None:
+        buckets[level] = {v}
+    else:
+        bucket.add(v)
+
+
 class ShardKernel(PLDS):
-    """One shard's PLDS: local records + ghost replicas + cascade state.
+    """One shard's PLDS: local slots + ghost slots + cascade state.
 
     Parameters beyond the PLDS ones:
 
@@ -101,10 +107,10 @@ class ShardKernel(PLDS):
         )
         self.shard_id = shard_id
         self.owns = owns
-        #: ghost replicas of remote neighbors, keyed by vertex id.
-        self._ghosts: dict[int, _VertexRecord] = {}
-        #: rise state: level -> set of local records marked dirty there.
-        self._dirty: dict[int, set[_VertexRecord]] = {}
+        #: ids of the ghost slots (replicas of remote neighbors).
+        self._ghosts: set[int] = set()
+        #: rise state: level -> local vertex ids marked dirty there.
+        self._dirty: dict[int, set[int]] = {}
         #: desaturate state: vertex -> stored desire level, and
         #: level -> pending local vertex ids (Algorithm 3's buckets).
         self._desire: dict[int, int] = {}
@@ -113,46 +119,80 @@ class ShardKernel(PLDS):
         self._affected: set[int] = set()
         #: local vertices moved since the last :meth:`take_moved`.
         self._moved: set[int] = set()
-        # -- resident-image dirty protocol (repro.parallel.pool) -------
-        #: whether the tracker pool-dispatches (gates dirty noting).
-        self._pool_track = bool(getattr(self.tracker, "pool_tasks", False))
-        #: the ResidentImage shipping this kernel's state, if any.
-        self._pool_image = None
-        #: record set changed (materialize/evict/restore): full rebuild.
-        self._pool_renumber = True
-        #: edges changed but the record set held: CSR rewrite only.
-        self._pool_adj_dirty = True
-        #: slots whose level changed since the last flush.
-        self._pool_dirty_slots: list[int] = []
-        #: id -> slot in the resident image (locals + ghosts, ascending
-        #: id); rebuilt by :meth:`pool_csr`.
-        self._pool_slot_of: dict[int, int] = {}
-        #: slot -> record, same ordering.
-        self._pool_recs: list[_VertexRecord] = []
+
+    # ------------------------------------------------------------------
+    # Local vs. ghost slots
+    # ------------------------------------------------------------------
+
+    def _local_slots(self) -> list[int]:
+        ghosts = self._ghosts
+        if not ghosts:
+            return list(range(self._n))
+        vid = self._vid
+        return [i for i in range(self._n) if vid[i] not in ghosts]
+
+    @property
+    def num_vertices(self) -> int:
+        return self._n - len(self._ghosts)
+
+    def vertices(self) -> Iterator[int]:
+        """Local vertex ids (ghost replicas are the owner's)."""
+        vid = self._vid
+        return (vid[i] for i in self._local_slots())
+
+    def ghosts(self) -> list[int]:
+        """Ids of the ghost replicas this shard holds, ascending."""
+        return sorted(self._ghosts)
+
+    def is_local(self, v: int) -> bool:
+        return v in self._slot_of and v not in self._ghosts
+
+    def is_ghost(self, v: int) -> bool:
+        return v in self._ghosts
+
+    def _level_deg_of(self, v: int) -> tuple[int, int] | None:
+        if v in self._ghosts:
+            return None
+        return super()._level_deg_of(v)
+
+    def add_vertex(self, v: int, level: int = 0) -> None:
+        """Create local vertex ``v`` at ``level`` (rebuild and snapshot
+        restore; no rebalancing, no metering)."""
+        self._restore_level(v, level)
+
+    def _ensure(self, v: int, levels: dict[int, int], new_ghosts: list[int]) -> int:
+        """``v``'s slot, creating it — as a ghost at its owner's level
+        ``levels[v]`` when ``v`` is remote."""
+        i = self._slot_of.get(v)
+        if i is not None:
+            return i
+        i = self._slot(v)
+        if not self.owns(v):
+            self._lv[i] = levels[v]
+            self._ghosts.add(v)
+            new_ghosts.append(v)
+        return i
 
     # ------------------------------------------------------------------
     # Structural apply steps (scatter phase)
     # ------------------------------------------------------------------
 
-    def _materialize(
+    def load_edges(
         self,
-        v: int,
+        items: Iterable[tuple[int, int, bool]],
         levels: dict[int, int],
-        new_ghosts: list[int],
-    ) -> _VertexRecord:
-        rec = self._vertices.get(v)
-        if rec is None:
-            rec = self._ghosts.get(v)
-        if rec is not None:
-            return rec
-        if self.owns(v):
-            return self._record(v)
-        rec = _VertexRecord(v)
-        rec.level = levels[v]
-        rec.ghost = True
-        self._ghosts[v] = rec
-        new_ghosts.append(v)
-        return rec
+    ) -> list[int]:
+        """Link the routed edges ``(u, v, counted)`` without marking or
+        metering (snapshot restore).  Returns the new ghosts' ids."""
+        new_ghosts: list[int] = []
+        for u, v, counted in items:
+            self._link_slots(
+                self._ensure(u, levels, new_ghosts),
+                self._ensure(v, levels, new_ghosts),
+            )
+            if counted:
+                self._m += 1
+        return new_ghosts
 
     def apply_insertions(
         self,
@@ -169,28 +209,15 @@ class ShardKernel(PLDS):
         """
         items = list(items)
         self.tracker.add(work=2 * len(items), depth=self._mut_depth)
-        # Edges always dirty the adjacency; materialization only forces a
-        # renumber when it mints a record the slot map has never seen.
-        self._pool_adj_dirty = True
-        n_before = len(self._vertices) + len(self._ghosts)
-        new_ghosts: list[int] = []
+        new_ghosts = self.load_edges(items, levels)
+        lv = self._lv
+        slot_of = self._slot_of
+        ghosts = self._ghosts
         dirty = self._dirty
-        for u, v, counted in items:
-            ru = self._materialize(u, levels, new_ghosts)
-            rv = self._materialize(v, levels, new_ghosts)
-            self._link_records(ru, rv)
-            if counted:
-                self._m += 1
-            for r in (ru, rv):
-                if r.ghost:
-                    continue
-                bucket = dirty.get(r.level)
-                if bucket is None:
-                    dirty[r.level] = {r}
-                else:
-                    bucket.add(r)
-        if len(self._vertices) + len(self._ghosts) != n_before:
-            self._pool_renumber = True
+        for u, v, _counted in items:
+            for w in (u, v):
+                if w not in ghosts:
+                    _add(dirty, lv[slot_of[w]], w)
         return new_ghosts
 
     def apply_deletions(
@@ -205,24 +232,22 @@ class ShardKernel(PLDS):
         """
         items = list(items)
         self.tracker.add(work=2 * len(items), depth=self._mut_depth)
-        self._pool_adj_dirty = True
         dropped: list[int] = []
         affected = self._affected
+        ghosts = self._ghosts
+        slot_of = self._slot_of
+        deg = self._deg
         for u, v, counted in items:
-            ru = self._vertices.get(u) or self._ghosts[u]
-            rv = self._vertices.get(v) or self._ghosts[v]
-            self._unlink_records(ru, rv)
+            self._unlink_slots(slot_of[u], slot_of[v])
             if counted:
                 self._m -= 1
-            for r in (ru, rv):
-                if r.ghost:
-                    if r.deg == 0:
-                        del self._ghosts[r.id]
-                        dropped.append(r.id)
-                else:
-                    affected.add(r.id)
-        if dropped:
-            self._pool_renumber = True
+            for w in (u, v):
+                if w not in ghosts:
+                    affected.add(w)
+                elif deg[slot_of[w]] == 0:
+                    ghosts.discard(w)
+                    self._drop_vertex(w)
+                    dropped.append(w)
         return dropped
 
     def consider_affected(self) -> None:
@@ -233,15 +258,15 @@ class ShardKernel(PLDS):
         self._affected.clear()
         if not affected:
             return
-        vertices = self._vertices
-        body = lambda v: self._consider(vertices[v])  # noqa: E731
+        slot_of = self._slot_of
+        body = lambda v: self._consider(slot_of[v])  # noqa: E731
         if self._pool_track:
             # A pool-capable backend ships this scan to worker processes
             # over the kernel's resident local+ghost image; the inline
             # body is the fallback and the semantics/charge reference.
-            from ..parallel.pool import attach_shard_consider_task
+            from ..parallel.pool import attach_consider_task
 
-            attach_shard_consider_task(self, body)
+            attach_consider_task(self, body, self._note_desire)
         self.tracker.flat_parfor(affected, body)
 
     # ------------------------------------------------------------------
@@ -262,7 +287,7 @@ class ShardKernel(PLDS):
         difference: a ghost up-neighbor crossing its Invariant-1 bound
         is *not* marked here — its owner marks it when
         :meth:`apply_moves` replays this shard's move events there
-        (``_move_up_to`` uses a ``>``-bound check, so the owner-side
+        (``_move_up_to_slot`` uses a ``>``-bound check, so the owner-side
         mark is violation-driven and robust to stale mirror counts).
         """
         moves: list[MoveEvent] = []
@@ -275,104 +300,70 @@ class ShardKernel(PLDS):
         bound = bounds[level]
         dirty = self._dirty
         moved_add = self._moved.add
+        slot_of = self._slot_of
+        lv = self._lv
+        ups = self._up
+        vid = self._vid
+        ghosts = self._ghosts
 
         if self.insertion_strategy == "jump":
-            movers = {
-                rec.id: rec
-                for rec in candidates
-                if rec.level == level and len(rec.up) > bound
-            }
+            movers = sorted(
+                v
+                for v in candidates
+                if lv[(i := slot_of[v])] == level and len(ups[i]) > bound
+            )
             if not movers:
                 return moves
 
             def rise(v: int) -> None:
-                rec = movers[v]
-                old = rec.level
-                newly_marked = self._move_up_to(
-                    rec, self._up_desire_level(rec)
-                )
+                i = slot_of[v]
+                newly_marked = self._move_up_to_slot(i, self._up_desire_slot(i))
                 moved_add(v)
-                moves.append((v, old, rec.level))
-                if len(rec.up) > bounds[rec.level]:
-                    newly_marked.append(rec)
-                for wrec in newly_marked:
-                    if wrec.ghost:
-                        continue  # the owner marks it off our move event
-                    bucket = dirty.get(wrec.level)
-                    if bucket is None:
-                        dirty[wrec.level] = {wrec}
-                    else:
-                        bucket.add(wrec)
+                moves.append((v, level, lv[i]))
+                if len(ups[i]) > bounds[lv[i]]:
+                    newly_marked.append(i)
+                for j in newly_marked:
+                    w = vid[j]
+                    if w not in ghosts:  # the owner marks a ghost off our event
+                        _add(dirty, lv[j], w)
 
-            tracker.flat_parfor(sorted(movers), rise)
-            if self._pool_track and moves:
-                self._pool_note_ids(ev[0] for ev in moves)
-            return moves
-
-        # Levelwise: the monolithic inlined fast path, minus orientation
-        # bookkeeping (unsupported here), plus ghost-mark suppression and
-        # move-event emission.  Aggregate charging is identical: the sum
-        # of |U[v]| over movers as work, one structure-mutation depth.
-        target = level + 1
-        bound_t = bounds[target]
-        crossing = bound_t + 1
-        total_work = 0
-        marked_next: list[_VertexRecord] = []
-        marked_append = marked_next.append
-        for rec in candidates:
-            if rec.level != level:
-                continue
-            up = rec.up
-            if len(up) <= bound:
-                continue
-            moved_add(rec.id)
-            total_work += len(up)
-            stay = None
-            for wrec in up:
-                lw = wrec.level
-                if lw == level:
-                    # w stays below v; v remains in U[w].
-                    if stay is None:
-                        stay = [wrec]
-                    else:
-                        stay.append(wrec)
+            tracker.flat_parfor(movers, rise)
+        else:
+            # Levelwise: every mover rises exactly one level, charged in
+            # aggregate like the monolithic loop (the sum of |U[v]| over
+            # movers as work, one structure-mutation depth).  A mover's
+            # |U[v]| is unchanged while its own level is processed, so
+            # the set-ordered visit is parity-safe; everything it newly
+            # marks sits at ``level + 1``.
+            target = level + 1
+            bound_t = bounds[target]
+            total_work = 0
+            marked: set[int] = set()
+            for v in candidates:
+                i = slot_of[v]
+                if lv[i] != level:
+                    continue
+                up_i = ups[i]
+                if len(up_i) <= bound:
+                    continue
+                moved_add(v)
+                total_work += len(up_i)
+                for j in self._move_up_raw(i, target):
+                    w = vid[j]
+                    if w not in ghosts:
+                        marked.add(w)
+                moves.append((v, level, target))
+                if len(up_i) > bound_t:
+                    marked.add(v)
+            if not total_work:
+                return moves
+            tracker.add(total_work, self._mut_depth)
+            if marked:
+                bucket = dirty.get(target)
+                if bucket is None:
+                    dirty[target] = marked
                 else:
-                    wdown = wrec.down
-                    bucket = wdown[level]
-                    bucket.discard(rec)
-                    if not bucket:
-                        del wdown[level]
-                    if lw == target:
-                        wup = wrec.up
-                        wup.add(rec)
-                        if len(wup) == crossing and not wrec.ghost:
-                            marked_append(wrec)
-                    else:  # lw > target: w's L-structure shifts.
-                        slot = wdown.get(target)
-                        if slot is None:
-                            wdown[target] = {rec}
-                        else:
-                            slot.add(rec)
-            if stay is not None:
-                up.difference_update(stay)
-                slot = rec.down.get(level)
-                if slot is None:
-                    rec.down[level] = set(stay)
-                else:
-                    slot.update(stay)
-            rec.level = target
-            moves.append((rec.id, level, target))
-            if len(up) > bound_t:
-                marked_append(rec)
-        if not total_work:
-            return moves
-        tracker.add(total_work, self._mut_depth)
-        if marked_next:
-            bucket = dirty.get(target)
-            if bucket is None:
-                dirty[target] = set(marked_next)
-            else:
-                bucket.update(marked_next)
+                    bucket.update(marked)
         if self._pool_track and moves:
             self._pool_note_ids(ev[0] for ev in moves)
         return moves
@@ -394,149 +385,93 @@ class ShardKernel(PLDS):
         if not bucket:
             return moves
         desire = self._desire
-        vertices = self._vertices
-        movers = [
+        slot_of = self._slot_of
+        lv = self._lv
+        movers = sorted(
             v
             for v in bucket
-            if desire.get(v) == level and vertices[v].level > level
-        ]
+            if desire.get(v) == level and lv[slot_of[v]] > level
+        )
         if not movers:
             return moves
         pending = self._pending
         moved_add = self._moved.add
+        vid = self._vid
+        ghosts = self._ghosts
 
         def descend(v: int) -> None:
-            rec = vertices[v]
-            fresh = self._calculate_desire_level(rec)
+            i = slot_of[v]
+            fresh = self._desire_slot(i)
             if fresh != level:
-                if fresh < rec.level:
+                if fresh < lv[i]:
                     desire[v] = fresh
-                    slot = pending.get(fresh)
-                    if slot is None:
-                        pending[fresh] = {v}
-                    else:
-                        slot.add(v)
+                    _add(pending, fresh, v)
                 else:
                     desire.pop(v, None)
                 return
-            old = rec.level
-            weakened = self._move_down(rec, level)
+            old = lv[i]
+            weakened = self._move_down_slot(i, level)
             moved_add(v)
             moves.append((v, old, level))
             desire.pop(v, None)
-            for wrec in weakened:
-                if wrec.ghost:
+            for j in weakened:
+                w = vid[j]
+                if w in ghosts:
                     continue  # the owner re-considers it off our event
-                desire.pop(wrec.id, None)
-                self._consider(wrec)
+                desire.pop(w, None)
+                self._consider(j)
 
-        tracker.flat_parfor(sorted(movers), descend)
+        tracker.flat_parfor(movers, descend)
         if self._pool_track and moves:
             self._pool_note_ids(ev[0] for ev in moves)
         return moves
 
     def apply_moves(self, events: Iterable[MoveEvent]) -> None:
-        """Replay remote move events onto this shard's ghost replicas.
+        """Replay remote move events onto this shard's ghost slots.
 
         Upward events re-mark local neighbors that now violate
         Invariant 1; downward events re-consider local neighbors whose
         ``up*`` shrank.  All fallout is local by construction (ghost
-        adjacency holds local records only).
+        adjacency holds local slots only).
         """
         dirty = self._dirty
         desire = self._desire
+        ghosts = self._ghosts
+        slot_of = self._slot_of
+        lv = self._lv
+        vid = self._vid
         changed: list[int] = []
         for v, _old, new in events:
-            rec = self._ghosts.get(v)
-            if rec is None or rec.level == new:
+            if v not in ghosts:
+                continue
+            i = slot_of[v]
+            if lv[i] == new:
                 continue
             changed.append(v)
-            if new > rec.level:
-                for wrec in self._move_up_to(rec, new):
-                    bucket = dirty.get(wrec.level)
-                    if bucket is None:
-                        dirty[wrec.level] = {wrec}
-                    else:
-                        bucket.add(wrec)
+            if new > lv[i]:
+                for j in self._move_up_to_slot(i, new):
+                    _add(dirty, lv[j], vid[j])
             else:
-                for wrec in self._move_down(rec, new):
-                    desire.pop(wrec.id, None)
-                    self._consider(wrec)
+                for j in self._move_down_slot(i, new):
+                    desire.pop(vid[j], None)
+                    self._consider(j)
         if self._pool_track and changed:
             self._pool_note_ids(changed)
 
-    def _consider(self, rec: _VertexRecord) -> None:
+    def _consider(self, i: int) -> None:
         """Algorithm 3's Invariant-2 check + desire enqueue for a local
-        record (the monolithic ``consider`` closure, shard-resident)."""
-        lvl = rec.level
+        slot (the monolithic ``consider`` closure, shard-resident)."""
+        lvl = self._lv[i]
         if lvl == 0:
             return
-        below = rec.down.get(lvl - 1)
-        up_star = len(rec.up) + (len(below) if below else 0)
+        below = self._down[i].get(lvl - 1)
+        up_star = len(self._up[i]) + (len(below) if below else 0)
         if up_star < self._inv2_thresh_int[lvl]:
-            dl = self._calculate_desire_level(rec)
-            self._desire[rec.id] = dl
-            bucket = self._pending.get(dl)
-            if bucket is None:
-                self._pending[dl] = {rec.id}
-            else:
-                bucket.add(rec.id)
+            self._note_desire(self._vid[i], self._desire_slot(i))
 
-    # ------------------------------------------------------------------
-    # Resident-image encoders (repro.parallel.pool.ResidentImage)
-    # ------------------------------------------------------------------
-
-    def pool_csr(self) -> tuple["array", "array"]:
-        """CSR-style adjacency over this kernel's record universe.
-
-        Slots cover locals *and* ghosts in ascending-id order, so a
-        local vertex's CSR row can reference its ghost neighbors and
-        the shared level vector carries their mirrored levels.  Rebuilds
-        the id->slot directory as a side effect (the protocol guarantees
-        a renumber-flagged flush calls this before payloads encode).
-        """
-        ids = sorted(self._vertices.keys() | self._ghosts.keys())
-        slot_of = {v: i for i, v in enumerate(ids)}
-        vertices_get = self._vertices.get
-        ghosts = self._ghosts
-        recs = [vertices_get(v) or ghosts[v] for v in ids]
-        offsets = array("i", bytes(4 * (len(ids) + 1)))
-        nbrs: list[int] = []
-        extend = nbrs.extend
-        for i, rec in enumerate(recs):
-            extend(slot_of[w.id] for w in rec.up)
-            for bucket in rec.down.values():
-                extend(slot_of[w.id] for w in bucket)
-            offsets[i + 1] = len(nbrs)
-        self._pool_slot_of = slot_of
-        self._pool_recs = recs
-        return offsets, array("i", nbrs)
-
-    def pool_levels_array(self) -> "array":
-        return array("i", [rec.level for rec in self._pool_recs])
-
-    def pool_levels_range(self, lo: int, hi: int) -> "array":
-        recs = self._pool_recs
-        return array("i", [recs[i].level for i in range(lo, hi)])
-
-    def _pool_note_ids(self, ids: Iterable[int]) -> None:
-        """Record level changes for the delta flush (see the flat
-        engine's counterpart); unknown ids or a degenerate backlog
-        collapse into a full rebuild, which is always safe."""
-        if self._pool_renumber:
-            return
-        slot_get = self._pool_slot_of.get
-        dirty = self._pool_dirty_slots
-        for v in ids:
-            i = slot_get(v)
-            if i is None:
-                self._pool_renumber = True
-                del dirty[:]
-                return
-            dirty.append(i)
-        if len(dirty) > 1024 and len(dirty) > 4 * len(self._pool_slot_of):
-            self._pool_renumber = True
-            del dirty[:]
+    def _note_desire(self, v: int, dl: int) -> None:
+        self._desire[v] = dl
+        _add(self._pending, dl, v)
 
     def take_moved(self) -> set[int]:
         """Local vertices moved since the last call (and reset)."""
@@ -549,51 +484,43 @@ class ShardKernel(PLDS):
     # ------------------------------------------------------------------
 
     def capture_state(self) -> dict:
-        """Cheap structural snapshot for shard-local rollback.
+        """Structural copy for shard-local rollback.
 
-        Levels + edge pairs fully determine the U/L partitions, exactly
-        as in :meth:`PLDS.to_snapshot`; ghost levels and the counted-edge
-        total ride along so a restore is bit-identical.  Cascade state
-        (dirty/desire/pending/affected) is *not* captured: a shard step
-        is only retried from the quiescent pre-scatter state, where all
-        of it is empty.
+        The slot arrays, the ghost set, the counted-edge total and the
+        moved set are copied, so a restore is exact down to the slot
+        numbering.  Cascade state (dirty/desire/pending/affected) is
+        *not* captured: a shard step is only retried from the quiescent
+        pre-scatter state, where all of it is empty.
         """
-        pairs: list[tuple[int, int]] = []
-        local = self._vertices
-        for v, rec in local.items():
-            for w in rec.neighbors():
-                if w in local:
-                    if v < w:
-                        pairs.append((v, w))
-                else:
-                    pairs.append((v, w))
         return {
-            "levels": {v: rec.level for v, rec in local.items()},
-            "ghosts": {v: rec.level for v, rec in self._ghosts.items()},
-            "pairs": pairs,
+            "slot_of": dict(self._slot_of),
+            "vid": list(self._vid),
+            "lv": list(self._lv),
+            "deg": list(self._deg),
+            "up": [set(s) for s in self._up],
+            "down": [
+                {lvl: set(b) for lvl, b in d.items()} for d in self._down
+            ],
+            "ghosts": set(self._ghosts),
             "m": self._m,
             "moved": set(self._moved),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild this shard's structures from :meth:`capture_state`."""
+        """Put this shard back to :meth:`capture_state`'s copy (which it
+        takes over: a state is restored at most once)."""
         self._pool_renumber = True
-        self._vertices = {}
-        self._ghosts = {}
-        for v, lvl in state["levels"].items():
-            rec = self._record(v)
-            rec.level = lvl
-        for v, lvl in state["ghosts"].items():
-            rec = _VertexRecord(v)
-            rec.level = lvl
-            rec.ghost = True
-            self._ghosts[v] = rec
-        for u, w in state["pairs"]:
-            ru = self._vertices.get(u) or self._ghosts[u]
-            rw = self._vertices.get(w) or self._ghosts[w]
-            self._link_records(ru, rw)
+        del self._pool_dirty_slots[:]
+        self._slot_of = state["slot_of"]
+        self._vid = state["vid"]
+        self._n = len(self._vid)
+        self._lv = state["lv"]
+        self._deg = state["deg"]
+        self._up = state["up"]
+        self._down = state["down"]
+        self._ghosts = state["ghosts"]
         self._m = state["m"]
-        self._moved = set(state["moved"])
+        self._moved = state["moved"]
         self._dirty = {}
         self._desire = {}
         self._pending = {}
@@ -606,12 +533,12 @@ class ShardKernel(PLDS):
     def publish_epoch(self, touched=None):
         """Publish this shard's local level image as a read epoch.
 
-        The inherited QueryView hooks iterate ``_vertices`` only, so a
-        shard epoch covers exactly the shard's *owned* vertices — ghost
-        mirrors carry no estimates of their own.  Any remote ids in
-        ``touched`` are filtered out up front: a ghost's level change is
-        the owner shard's move, and republishing it here would only pay
-        useless pop/no-op work on every ghost-churn round.
+        The QueryView hooks skip ghost slots, so a shard epoch covers
+        exactly the shard's *owned* vertices — ghost mirrors carry no
+        estimates of their own.  Any remote ids in ``touched`` are
+        filtered out up front: a ghost's level change is the owner
+        shard's move, and republishing it here would only pay useless
+        pop/no-op work on every ghost-churn round.
 
         Shard-local rollback (:meth:`restore_state`) deliberately leaves
         the published epoch alone: readers keep seeing the last epoch
@@ -624,17 +551,8 @@ class ShardKernel(PLDS):
         return super().publish_epoch(touched)
 
     # ------------------------------------------------------------------
-    # Overrides: ghost-aware queries, engine-owned rebuild
+    # Overrides: engine-owned rebuild, ghost-aware checks
     # ------------------------------------------------------------------
-
-    def has_edge(self, u: int, v: int) -> bool:
-        ru = self._vertices.get(u) or self._ghosts.get(u)
-        rv = self._vertices.get(v) or self._ghosts.get(v)
-        if ru is None or rv is None:
-            return False
-        if rv.level >= ru.level:
-            return rv in ru.up
-        return rv in ru.down.get(rv.level, ())
 
     def _maybe_rebuild(self) -> None:
         # Rebuilds are coordinated by the engine: the trigger must read
@@ -643,19 +561,6 @@ class ShardKernel(PLDS):
         # from the monolithic structure and parity breaks.
         return
 
-    def space_bytes(self) -> int:
-        """Local structures (inherited accounting) + ghost mirrors."""
-        total = super().space_bytes()
-        for rec in self._ghosts.values():
-            total += 8  # mirrored level
-            total += 8 * len(rec.up)
-            if self.structure == "space_efficient":
-                total += sum(16 + 8 * len(s) for s in rec.down.values())
-            else:
-                total += 8 * rec.level
-                total += sum(8 * len(s) for s in rec.down.values())
-        return total
-
     def check_invariants(self) -> list[str]:
         """Inherited per-local-vertex checks + ghost bookkeeping checks.
 
@@ -663,17 +568,13 @@ class ShardKernel(PLDS):
         check; this one sees a single shard.)
         """
         problems = super().check_invariants()
-        for v, rec in self._ghosts.items():
-            if not rec.ghost:
-                problems.append(f"ghost record {v} lost its ghost flag")
+        for v in sorted(self._ghosts):
             if self.owns(v):
                 problems.append(f"vertex {v} is a ghost on its owner shard")
-            if v in self._vertices:
-                problems.append(f"vertex {v} is both local and ghost")
-            if rec.deg == 0:
+            if self.degree(v) == 0:
                 problems.append(f"ghost {v} has degree 0 (should be evicted)")
-            for w in rec.neighbors():
-                if w not in self._vertices:
+            for w in self.neighbors(v):
+                if w in self._ghosts:
                     problems.append(
                         f"ghost {v} adjacent to non-local vertex {w}"
                     )
@@ -681,6 +582,6 @@ class ShardKernel(PLDS):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ShardKernel(shard={self.shard_id}, local={len(self._vertices)}, "
+            f"ShardKernel(shard={self.shard_id}, local={self.num_vertices}, "
             f"ghosts={len(self._ghosts)}, m={self._m})"
         )

@@ -25,7 +25,6 @@ import pytest
 import repro
 from repro import faults
 from repro.core.plds import PLDS
-from repro.core.plds_flat import PLDSFlat
 from repro.faults import FaultPlan, FaultPoint, InjectedFault
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch
@@ -55,8 +54,8 @@ SHARD_COUNTS = (1, 2, 4, 7)
 JUMP_KW = {"group_shrink": 50, "insertion_strategy": "jump"}
 
 
-def _run_flat(tracker=None, seed: int = 1234, **kwargs) -> PLDSFlat:
-    plds = PLDSFlat(n_hint=_N_HINT, tracker=tracker, **kwargs)
+def _run_flat(tracker=None, seed: int = 1234, **kwargs) -> PLDS:
+    plds = PLDS(n_hint=_N_HINT, tracker=tracker, **kwargs)
     for batch in _stream(seed=seed):
         plds.update(batch)
     return plds
@@ -77,7 +76,7 @@ class TestParallelMatchesSerial:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_parallel_matches_serial(self, seed: int) -> None:
         """Pool-backend coreness and metered totals are bit-identical to
-        the simulated backend (and hence to the record engine)."""
+        the simulated backend."""
         serial = _run_flat(seed=seed, group_shrink=50)
         with PoolBackend(workers=2) as pool:
             parallel = _run_flat(tracker=pool, seed=seed, group_shrink=50)
@@ -102,9 +101,9 @@ class TestParallelMatchesSerial:
         sequence: the same seeded plan trips at the same update, and the
         partially applied state is still bit-identical."""
 
-        def run(tracker) -> tuple[int, PLDSFlat, FaultPlan]:
+        def run(tracker) -> tuple[int, PLDS, FaultPlan]:
             plan = FaultPlan([FaultPoint("engine.parfor", 10)])
-            plds = PLDSFlat(n_hint=_N_HINT, tracker=tracker, group_shrink=50)
+            plds = PLDS(n_hint=_N_HINT, tracker=tracker, group_shrink=50)
             with faults.active(plan):
                 for i, batch in enumerate(_stream()):
                     try:
@@ -282,8 +281,8 @@ class TestJumpRiseDispatch:
             for i in range(0, len(edges), 40)
         ]
 
-        def run(tracker=None) -> PLDSFlat:
-            plds = PLDSFlat(n_hint=150, tracker=tracker, **JUMP_KW)
+        def run(tracker=None) -> PLDS:
+            plds = PLDS(n_hint=150, tracker=tracker, **JUMP_KW)
             for batch in batches:
                 plds.update(batch)
             return plds
@@ -370,7 +369,7 @@ class TestDirtyRangeProtocol:
 
     def test_stream_mixes_full_and_delta_flushes(self) -> None:
         with PoolBackend(workers=1, min_dispatch=1) as pool:
-            plds = PLDSFlat(n_hint=_N_HINT, tracker=pool, **JUMP_KW)
+            plds = PLDS(n_hint=_N_HINT, tracker=pool, **JUMP_KW)
             for batch in _stream():
                 plds.update(batch)
             img = plds._pool_image
@@ -407,14 +406,14 @@ class TestDirtyRangeProtocol:
 
         monkeypatch.setattr(poolmod.ResidentImage, "flush", checked_flush)
         with PoolBackend(workers=1, min_dispatch=1) as pool:
-            plds = PLDSFlat(n_hint=_N_HINT, tracker=pool, **JUMP_KW)
+            plds = PLDS(n_hint=_N_HINT, tracker=pool, **JUMP_KW)
             for batch in _stream():
                 plds.update(batch)
         assert seen["deltas"] > 0, "no delta flush exercised the check"
 
     def test_structural_events_force_full_flush(self) -> None:
         with PoolBackend(workers=1, min_dispatch=1) as pool:
-            plds = PLDSFlat(n_hint=16, tracker=pool, group_shrink=50)
+            plds = PLDS(n_hint=16, tracker=pool, group_shrink=50)
             plds.update(
                 Batch(
                     insertions=[(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]
@@ -462,7 +461,7 @@ class TestSegmentCleanup:
         names: list[str] = []
         try:
             with PoolBackend(workers=1, min_dispatch=1) as pool:
-                plds = PLDSFlat(
+                plds = PLDS(
                     n_hint=_N_HINT, tracker=pool, group_shrink=50
                 )
                 for batch in _stream():
@@ -482,7 +481,7 @@ class TestSegmentCleanup:
     def test_close_is_idempotent_and_recoverable(self) -> None:
         pool = PoolBackend(workers=1, min_dispatch=1)
         try:
-            plds = PLDSFlat(n_hint=_N_HINT, tracker=pool, group_shrink=50)
+            plds = PLDS(n_hint=_N_HINT, tracker=pool, group_shrink=50)
             batches = list(_stream())
             for batch in batches[:6]:
                 plds.update(batch)
@@ -509,11 +508,11 @@ class TestSegmentCleanup:
         script = (
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "sys.path.insert(0, sys.argv[2])\n"
-            "from repro.core.plds_flat import PLDSFlat\n"
+            "from repro.core.plds import PLDS\n"
             "from repro.parallel.pool import PoolBackend\n"
             "from tests.test_golden_parity import _N_HINT, _stream\n"
             "with PoolBackend(workers=1, min_dispatch=1) as pool:\n"
-            "    plds = PLDSFlat(n_hint=_N_HINT, tracker=pool,"
+            "    plds = PLDS(n_hint=_N_HINT, tracker=pool,"
             " group_shrink=50)\n"
             "    for batch in _stream():\n"
             "        plds.update(batch)\n"

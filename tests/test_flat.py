@@ -1,28 +1,35 @@
-"""PLDSFlat: the flat slot-indexed layout is observationally bit-identical.
+"""The slot-indexed PLDS layout: query surface, slots, level image, space.
 
-The contract (docs/cost_model.md, "Flat-layout memory model"): on any
-update stream and at any parameterization, :class:`repro.core.plds_flat.
-PLDSFlat` produces the same coreness estimates AND the same metered
-(work, depth) totals as the record-based :class:`repro.core.plds.PLDS`
-— the layout change is purely a constant-factor/wall-clock matter.
-These tests drive both engines through the golden-parity stream across
-the structure/strategy matrix, and additionally check agreement with
-the sharded coordinator at 1/2/4/7 shards (which is itself gated
-bit-identical to the record engine by tests/test_shard.py).
+:class:`repro.core.plds.PLDS` keeps every vertex in a dense slot with
+parallel level/degree/adjacency arrays (``PLDSFlat`` is the old name of
+the same class, kept as an alias).  Cascade parity — coreness and
+metered (work, depth) — is pinned by ``tests/test_golden_parity.py``;
+this module checks what the fixture does not see:
+
+- the query surface (neighbors, degrees, ``has_edge``, edges, in/out
+  neighbors) against a :class:`~repro.graphs.dynamic_graph.DynamicGraph`
+  replay of the same stream and against :meth:`PLDS.orientation_of`;
+- slot compaction on vertex deletion, the int32 level image, the
+  Section-5.9 rebuild and snapshot round trips;
+- the Section-5.8 space model, which every PLDS key reports alike.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 
 from repro.core.plds import PLDS
 from repro.core.plds_flat import PLDSFlat
+from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.streams import Batch
 from repro.registry import make_adapter
 from repro.shard import Coordinator
 
-from .test_golden_parity import _N_HINT, _stream
+from .test_golden_parity import _N_HINT, _TRAJECTORY, _load_fixture, _stream
 
-#: constructor kwargs per scenario; both engines take identical params.
+#: constructor kwargs per scenario.
 CONFIGS: dict[str, dict] = {
     "levelwise": {},
     "jump": {"insertion_strategy": "jump"},
@@ -33,100 +40,170 @@ CONFIGS: dict[str, dict] = {
 }
 
 
-def _run_pair(n_hint: int, **kwargs) -> tuple[PLDS, PLDSFlat]:
-    rec = PLDS(n_hint=n_hint, **kwargs)
-    flat = PLDSFlat(n_hint=n_hint, **kwargs)
-    for batch in _stream():
-        rec.update(batch)
-        flat.update(batch)
-        assert (rec.tracker.work, rec.tracker.depth) == (
-            flat.tracker.work,
-            flat.tracker.depth,
-        ), "metered totals diverged mid-stream"
-    return rec, flat
+def _replay(
+    n_hint: int, batches: list[Batch] | None = None, **kwargs
+) -> tuple[PLDS, DynamicGraph]:
+    plds = PLDS(n_hint=n_hint, **kwargs)
+    graph = DynamicGraph()
+    for batch in _stream() if batches is None else batches:
+        plds.update(batch)
+        for e in batch.insertions:
+            graph.insert_edge(*e)
+        for e in batch.deletions:
+            graph.delete_edge(*e)
+    return plds, graph
+
+
+def _assert_query_surface(plds: PLDS, graph: DynamicGraph) -> None:
+    assert plds.check_invariants() == []
+    assert plds.num_edges == graph.num_edges
+    assert sorted(plds.edges()) == sorted(graph.edges())
+    for v in set(plds.vertices()) | set(graph.vertices()):
+        nbrs = sorted(graph.neighbors(v)) if graph.has_vertex(v) else []
+        assert plds.neighbors(v) == nbrs
+        assert plds.degree(v) == len(nbrs)
+        out = [w for w in nbrs if plds.orientation_of(v, w) == (v, w)]
+        assert plds.out_neighbors(v) == out
+        assert plds.out_degree(v) == len(out)
+        assert plds.in_neighbors(v) == sorted(set(nbrs) - set(out))
+        lv = plds.level(v)
+        assert plds.up_degree(v) == sum(plds.level(w) >= lv for w in nbrs)
+        assert plds.up_star_degree(v) == sum(
+            plds.level(w) >= lv - 1 for w in nbrs
+        )
+    for u, v in graph.edges():
+        assert plds.has_edge(u, v) and plds.has_edge(v, u)
+    assert not plds.has_edge(10**6, 0)
+    # Slots stay dense and the two directions of the slot map agree.
+    assert sorted(plds._slot_of.values()) == list(range(plds.num_vertices))
+    assert all(plds._vid[i] == v for v, i in plds._slot_of.items())
+
+
+#: golden-fixture entry (recorded from the record-layout engine this
+#: layout replaced) for each config.
+GOLDEN: dict[str, str] = {
+    "levelwise": "plds-levelwise",
+    "jump": "plds-jump",
+    "opt": "pldsopt",
+    "opt-levelwise": "pldsopt-levelwise",
+    "orient-det": "plds-orient-det",
+    "space": "plds-space",
+}
+
+
+def _assert_golden(plds: PLDS, trajectory: list[list[int]], name: str) -> None:
+    fixture = _load_fixture()
+    entry = fixture[name]
+    assert [plds.tracker.work, plds.tracker.depth] == [
+        entry["work"],
+        entry["depth"],
+    ]
+    assert trajectory == fixture[_TRAJECTORY + name]
+    assert (
+        sorted([v, est] for v, est in plds.coreness_estimates().items())
+        == entry["estimates"]
+    )
 
 
 class TestFlatParity:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_bit_identical_to_plds(self, config: str) -> None:
-        rec, flat = _run_pair(_N_HINT, **CONFIGS[config])
-        assert flat.coreness_estimates() == rec.coreness_estimates()
-        assert {v: flat.level(v) for v in flat.vertices()} == {
-            v: rec.level(v) for v in rec.vertices()
-        }
-        assert flat.check_invariants() == []
+        """Every batch's metered cost and the final estimates equal the
+        golden entry the record-layout engine recorded."""
+        trajectory: list[list[int]] = []
+        plds = PLDS(n_hint=_N_HINT, **CONFIGS[config])
+        for batch in _stream():
+            plds.update(batch)
+            trajectory.append([plds.tracker.work, plds.tracker.depth])
+        _assert_golden(plds, trajectory, GOLDEN[config])
+        assert plds.check_invariants() == []
 
     def test_rebuild_parity(self) -> None:
-        # An undersized hint forces mid-stream rebuilds through the flat
-        # slot recycling path.
-        rec, flat = _run_pair(32)
-        assert flat.coreness_estimates() == rec.coreness_estimates()
-        assert flat.check_invariants() == []
+        # An undersized hint forces mid-stream rebuilds, which re-run
+        # __init__ and recreate every slot.
+        plds, graph = _replay(32)
+        assert plds.n_hint > 32
+        fixture = _load_fixture()["plds-rebuild"]
+        assert (plds.tracker.work, plds.tracker.depth) == (
+            fixture["work"],
+            fixture["depth"],
+        )
+        _assert_query_surface(plds, graph)
 
     def test_query_surface_matches(self) -> None:
-        rec, flat = _run_pair(_N_HINT)
-        assert flat.num_vertices == rec.num_vertices
-        assert sorted(flat.edges()) == sorted(rec.edges())
-        for v in rec.vertices():
-            assert flat.degree(v) == rec.degree(v)
-            assert flat.up_degree(v) == rec.up_degree(v)
-            assert flat.up_star_degree(v) == rec.up_star_degree(v)
-            assert flat.neighbors(v) == rec.neighbors(v)
-            assert flat.out_neighbors(v) == rec.out_neighbors(v)
-            assert flat.out_degree(v) == rec.out_degree(v)
-            assert flat.in_neighbors(v) == rec.in_neighbors(v)
-        for u, v in list(rec.edges())[:50]:
-            assert flat.has_edge(u, v) and flat.has_edge(v, u)
-        assert not flat.has_edge(10**6, 0)
+        for kwargs in CONFIGS.values():
+            plds, graph = _replay(_N_HINT, **kwargs)
+            _assert_query_surface(plds, graph)
+
+    def test_orientation_table_matches_levels(self) -> None:
+        plds, graph = _replay(_N_HINT, track_orientation=True)
+        assert sorted(plds._orient) == sorted(graph.edges())
+        for e, d in plds._orient.items():
+            assert d == plds.orientation_of(*e)
+        assert sorted(plds.oriented_edges()) == sorted(plds._orient.values())
 
     def test_snapshot_roundtrip(self) -> None:
-        _, flat = _run_pair(_N_HINT)
-        clone = PLDSFlat.from_snapshot(flat.to_snapshot())
-        assert clone.coreness_estimates() == flat.coreness_estimates()
-        assert sorted(clone.edges()) == sorted(flat.edges())
-        assert clone.check_invariants() == []
+        plds, graph = _replay(_N_HINT)
+        clone = PLDSFlat.from_snapshot(plds.to_snapshot())
+        assert type(clone) is PLDS
+        assert clone.coreness_estimates() == plds.coreness_estimates()
+        assert {v: clone.level(v) for v in clone.vertices()} == {
+            v: plds.level(v) for v in plds.vertices()
+        }
+        _assert_query_surface(clone, graph)
 
     def test_vertex_deletion_compacts_slots(self) -> None:
-        flat = PLDSFlat(n_hint=_N_HINT)
-        rec = PLDS(n_hint=_N_HINT)
-        batches = _stream()
-        for b in batches[:4]:
-            flat.update(b)
-            rec.update(b)
-        victims = sorted(flat.vertices())[::7]
-        flat.delete_vertices(victims)
-        rec.delete_vertices(victims)
-        assert flat.coreness_estimates() == rec.coreness_estimates()
-        assert flat.check_invariants() == []
-        # Slots stay dense after the swap-compaction.
-        assert sorted(flat._slot_of.values()) == list(range(flat.num_vertices))
+        batches = _stream()[:4]
+        plds, graph = _replay(_N_HINT, batches)
+        ref, _ = _replay(_N_HINT, batches)
+        victims = sorted(plds.vertices())[::7]
+        plds.delete_vertices(victims)
+        # The reference only deletes the incident edges: dropping the
+        # then-isolated vertices must not move anyone else.
+        incident = sorted(
+            {(min(v, w), max(v, w)) for v in victims for w in graph.neighbors(v)}
+        )
+        ref.update(Batch(deletions=incident))
+        for v in victims:
+            graph.remove_vertex(v)
+        assert plds.coreness_estimates() == {
+            v: est
+            for v, est in ref.coreness_estimates().items()
+            if v not in victims
+        }
+        _assert_query_surface(plds, graph)
 
     def test_level_bytes_is_contiguous_int32_image(self) -> None:
-        _, flat = _run_pair(_N_HINT)
-        image = flat._level_bytes()
-        assert len(image) == 4 * flat.num_vertices
-        from array import array
-
+        plds, _ = _replay(_N_HINT)
+        image = plds._level_bytes()
+        assert len(image) == 4 * plds.num_vertices
         levels = array("i")
         levels.frombytes(image)
-        assert list(levels) == flat._lv
+        assert list(levels) == plds._lv
 
     def test_space_accounting_positive(self) -> None:
-        _, flat = _run_pair(_N_HINT)
-        assert flat.space_bytes() > 0
-        assert flat.stats()["space_bytes"] == float(flat.space_bytes())
+        randomized = PLDSFlat(n_hint=_N_HINT)
+        linked = PLDSFlat(n_hint=_N_HINT, structure="space_efficient")
+        for batch in _stream():
+            randomized.update(batch)
+            linked.update(batch)
+        # Section 5.8: per-level list nodes instead of a slot per level.
+        assert 0 < linked.space_bytes() < randomized.space_bytes()
+        assert randomized.stats()["space_bytes"] == float(
+            randomized.space_bytes()
+        )
 
 
 class TestFlatVsSharded:
     @pytest.mark.parametrize("shards", (1, 2, 4, 7))
     def test_coreness_agreement(self, shards: int) -> None:
-        flat = PLDSFlat(n_hint=_N_HINT)
+        plds = PLDS(n_hint=_N_HINT)
         coord = Coordinator(_N_HINT, shards=shards)
         for batch in _stream():
-            flat.update(batch)
+            plds.update(batch)
             coord.update(batch)
-        assert flat.coreness_estimates() == coord.coreness_estimates(), (
-            f"flat vs {shards}-shard coordinator coreness diverged"
+        assert plds.coreness_estimates() == coord.coreness_estimates(), (
+            f"PLDS vs {shards}-shard coordinator coreness diverged"
         )
 
 
@@ -136,6 +213,8 @@ class TestFlatRegistry:
         [("pldsflat", "plds"), ("pldsflatopt", "pldsopt")],
     )
     def test_registry_twins_match(self, flat_key: str, record_key: str) -> None:
+        """The ``pldsflat*`` keys are aliases: same estimates, same
+        metered cost, same Section-5.8 space."""
         fa = make_adapter(flat_key, _N_HINT)
         ra = make_adapter(record_key, _N_HINT)
         for batch in _stream():
@@ -143,3 +222,4 @@ class TestFlatRegistry:
             ra.update(batch)
         assert fa.estimates() == ra.estimates()
         assert (fa.cost.work, fa.cost.depth) == (ra.cost.work, ra.cost.depth)
+        assert fa.space_bytes() == ra.space_bytes() > 0

@@ -37,7 +37,6 @@ import pytest
 
 from repro.core.lds import LDS
 from repro.core.plds import PLDS
-from repro.core.plds_flat import PLDSFlat
 from repro.graphs.streams import Batch
 from repro.shard import Coordinator
 
@@ -105,15 +104,15 @@ def _scenarios() -> dict[str, object]:
         "plds-space": lambda: PLDS(n_hint=_N_HINT, structure="space_efficient"),
         "plds-rebuild": lambda: PLDS(n_hint=32),
         "lds": lambda: LDS(n_hint=_N_HINT),
-        # Flat-layout twins: these MUST stay entry-for-entry identical to
-        # plds-levelwise / plds-jump / pldsopt above (the flat layout is
-        # a representation change, not an algorithm change); the twin
-        # equality is asserted by test_flat_entries_match_record_twins.
-        "pldsflat-levelwise": lambda: PLDSFlat(n_hint=_N_HINT),
-        "pldsflat-jump": lambda: PLDSFlat(
+        # Entries of the pldsflat* registry aliases, recorded when they
+        # were a separate slot-indexed layout: they MUST stay
+        # entry-for-entry identical to plds-levelwise / plds-jump /
+        # pldsopt above (asserted by test_flat_entries_match_record_twins).
+        "pldsflat-levelwise": lambda: PLDS(n_hint=_N_HINT),
+        "pldsflat-jump": lambda: PLDS(
             n_hint=_N_HINT, insertion_strategy="jump"
         ),
-        "pldsflatopt": lambda: PLDSFlat(
+        "pldsflatopt": lambda: PLDS(
             n_hint=_N_HINT, group_shrink=50, insertion_strategy="jump"
         ),
         "pldsopt-levelwise": lambda: PLDS(n_hint=_N_HINT, group_shrink=50),

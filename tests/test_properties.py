@@ -29,6 +29,7 @@ from repro.parallel.primitives import (
     parallel_semisort,
     parallel_sort,
 )
+from repro.shard import Coordinator
 from repro.static_kcore.approx import approx_coreness_static
 from repro.static_kcore.exact import ParallelExactKCore, exact_coreness
 
@@ -64,6 +65,42 @@ def apply_script(script, on_batch):
         current -= set(dels)
         on_batch(batch, set(current))
     return current
+
+
+#: the sharded property replays each script on three engines; fewer
+#: examples keep it inside the tier-1 budget.
+SHARDED = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestShardedProperties:
+    @SHARDED
+    @given(script_strategy, st.sampled_from(["levelwise", "jump"]))
+    def test_coordinator_matches_plds_after_any_script(self, script, strategy):
+        plds = PLDS(n_hint=N_VERTICES, insertion_strategy=strategy)
+        coords = [
+            Coordinator(N_VERTICES, shards=s, insertion_strategy=strategy)
+            for s in (2, 4)
+        ]
+
+        def step(batch, current):
+            plds.update(batch)
+            estimates = plds.coreness_estimates()
+            for coord in coords:
+                coord.update(
+                    Batch(
+                        insertions=list(batch.insertions),
+                        deletions=list(batch.deletions),
+                    )
+                )
+                assert coord.check_invariants() == []
+                assert coord.coreness_estimates() == estimates
+                assert set(coord.edges()) == current
+
+        apply_script(script, step)
 
 
 class TestPLDSProperties:

@@ -27,7 +27,6 @@ import pytest
 from repro import faults
 from repro.core.lds import LDS
 from repro.core.plds import PLDS
-from repro.core.plds_flat import PLDSFlat
 from repro.faults import FaultPlan, FaultPoint, InjectedFault
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch
@@ -197,7 +196,7 @@ def test_rollback_restores_pre_batch_state(algorithm, seed):
     assert svc.audit() == []
 
 
-@pytest.mark.parametrize("cls", [PLDS, PLDSFlat, LDS])
+@pytest.mark.parametrize("cls", [PLDS, LDS], ids=["PLDS", "LDS"])
 def test_engine_rollback_restores_orientation_table(cls):
     edges = barabasi_albert(60, 3, seed=5)
     engine = cls(n_hint=128, track_orientation=True)

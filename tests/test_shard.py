@@ -180,7 +180,7 @@ class TestPartitioner:
                 assert coord.partitioner.owner(v) != s, (
                     f"vertex {v} is a ghost on its owner shard {s}"
                 )
-            for v in kernel._vertices:
+            for v in kernel.vertices():
                 assert coord.partitioner.owner(v) == s
 
 
@@ -197,7 +197,7 @@ class TestBoundaryValidation:
 
     def _state(self, coord: Coordinator) -> list:
         return [
-            (sorted(k._vertices), sorted(k.edges()), k._m)
+            (sorted(k.vertices()), sorted(k.edges()), k.num_edges)
             for k in coord.engine.kernels
         ]
 
@@ -259,10 +259,10 @@ class TestShardFaultIsolation:
         coord.update(Batch(insertions=[(0, 1), (2, 3), (5, 6), (8, 9)]))
         kernels = coord.engine.kernels
         before = [
-            (dict.fromkeys(k._vertices), sorted(k.edges())) for k in kernels
+            (dict.fromkeys(k.vertices()), sorted(k.edges())) for k in kernels
         ]
         before_levels = [
-            {v: k.level(v) for v in k._vertices} for k in kernels
+            {v: k.level(v) for v in k.vertices()} for k in kernels
         ]
         # One fault on the very next shard.apply hit: the scatter visits
         # shards in order, so shard 0 faults while 1..3 are untouched.
@@ -358,6 +358,58 @@ class TestSnapshots:
     def test_snapshot_rejects_wrong_format(self) -> None:
         with pytest.raises(ValueError):
             Coordinator.from_snapshot({"format": 99, "sharded": True})
+
+    @staticmethod
+    def _snapshot() -> dict:
+        coord = Coordinator(_N_HINT, shards=4)
+        for b in _stream()[:3]:
+            coord.update(b)
+        return json.loads(json.dumps(coord.to_snapshot()))
+
+    @staticmethod
+    def _first_edge(snap: dict) -> tuple[dict, list[int]]:
+        section = next(sec for sec in snap["shards"] if sec["edges"])
+        return section, section["edges"][0]
+
+    @pytest.mark.parametrize(
+        "where", ["same-shard", "reversed", "self-loop", "repeated-vertex"]
+    )
+    def test_snapshot_rejects_corrupt_sections(self, where: str) -> None:
+        snap = self._snapshot()
+        section, (u, v) = self._first_edge(snap)
+        if where == "same-shard":
+            section["edges"].append([u, v])
+        elif where == "reversed":
+            # The duplicate hides on the other endpoint's shard, reversed.
+            other = next(
+                sec for sec in snap["shards"] if sec is not section
+            )
+            other["edges"].append([v, u])
+        elif where == "self-loop":
+            section["edges"].append([u, u])
+        else:
+            section["levels"].append(list(section["levels"][0]))
+        with pytest.raises(ValueError):
+            Coordinator.from_snapshot(snap)
+
+    def test_snapshot_reversed_edge_counted_on_min_endpoint(self) -> None:
+        snap = self._snapshot()
+        reference = Coordinator.from_snapshot(snap)
+        owner = reference.partitioner.owner
+        section, k = next(
+            (sec, k)
+            for sec in snap["shards"]
+            for k, (u, v) in enumerate(sec["edges"])
+            if owner(u) != owner(v)
+        )
+        u, v = section["edges"][k]
+        section["edges"][k] = [v, u]
+        restored = Coordinator.from_snapshot(snap)
+        assert [kern.num_edges for kern in restored.engine.kernels] == [
+            kern.num_edges for kern in reference.engine.kernels
+        ]
+        assert restored.check_invariants() == []
+        assert restored.to_snapshot() == reference.to_snapshot()
 
 
 # ----------------------------------------------------------------------

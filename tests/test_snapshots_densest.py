@@ -67,6 +67,23 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             PLDS.from_snapshot(snap)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda snap: snap["edges"].append(list(snap["edges"][0])),
+            lambda snap: snap["edges"].append(list(reversed(snap["edges"][0]))),
+            lambda snap: snap["edges"].append([0, 0]),
+            lambda snap: snap["levels"].append([0, 1]),
+        ],
+        ids=["duplicate-edge", "reversed-duplicate", "self-loop", "repeated-vertex"],
+    )
+    def test_corrupt_snapshot_rejected(self, corrupt):
+        plds = build_plds([(0, 1), (1, 2)])
+        snap = json.loads(json.dumps(plds.to_snapshot()))
+        corrupt(snap)
+        with pytest.raises(ValueError):
+            PLDS.from_snapshot(snap)
+
     def test_out_of_range_level_rejected(self):
         plds = build_plds([(0, 1)])
         snap = plds.to_snapshot()
